@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import (
-    CacheError,
+    DisagreementError,
     DomainError,
     FriabilisError,
     NumericError,
@@ -47,9 +47,7 @@ from .prime_tables import (
     big_pi,
     chebyshev_psi,
     li,
-    load_prime_cache,
     remainder_sample,
-    save_prime_cache,
     sieve_primes,
 )
 from .theorem import (

@@ -6,7 +6,9 @@ or JSON.  JSON output is one object {"meta": {...}, "rows": [...]} where
 meta echoes the resolved configuration.  Identical invocations produce
 byte-identical output: no randomness, no timestamps, repr-stable floats.
 
-Exit codes: 0 success, 2 usage, 3 domain/range error, 4 resource cap.
+Exit codes: 0 success, 2 usage, 3 domain/range error, 4 resource cap,
+5 exact methods disagree.  --output is written to a temporary file in
+the same directory and renamed over PATH only on success.
 """
 
 import argparse
@@ -19,8 +21,8 @@ from decimal import Decimal, InvalidOperation
 
 from . import __version__
 from .dickman import default_grid, export_grid_csv, rho, xi
-from .errors import DomainError, ResourceError
-from .prime_tables import save_prime_cache, sieve_primes
+from .errors import DisagreementError, DomainError, ResourceError
+from .prime_tables import sieve_primes
 from .psi_exact import psi_buchstab, psi_enumerate, psi_sieve
 from .saddle import solve_alpha
 from .theorem import (
@@ -69,12 +71,6 @@ def _emit_rows(args, meta: dict, rows: list, csv_writer, fh) -> None:
         csv_writer(fh)
 
 
-def _open_out(args):
-    if args.output:
-        return open(args.output, "w")
-    return None
-
-
 def _table_for(y: float, max_sieve: float):
     limit = max(int(math.ceil(y)), 3)
     if limit > max_sieve:
@@ -88,14 +84,12 @@ def _table_for(y: float, max_sieve: float):
 
 def _run_primes(args, fh) -> None:
     table = _table_for(float(args.limit), args.max_sieve)
-    if args.cache is not None:
-        save_prime_cache(table, args.cache)
     meta = {"subcommand": "primes", "limit": args.limit, "format": args.format}
     if args.format == "plain":
         fh.write(f"{len(table.primes)}\n")
         return
-    rows = [{"p": int(p), "log_p": float(lp)}
-            for p, lp in zip(table.primes, table.log_primes)]
+    rows = [{"p": p, "log_p": lp}
+            for p, lp in zip(table.primes.tolist(), table.log_primes.tolist())]
 
     def as_csv(out):
         out.write("p,log_p\n")
@@ -201,7 +195,8 @@ def _run_psi(args, fh) -> None:
         results.append(psi_buchstab(x_exact, table, y_eff))
     counts = {r.count for r in results}
     if len(counts) != 1:
-        raise AssertionError(f"methods disagree: { {r.method: r.count for r in results} }")
+        raise DisagreementError(
+            "methods disagree: " + ", ".join(f"{r.method}={r.count}" for r in results))
 
     meta = {"subcommand": "psi", "x_form": form, "log_x": log_x, "y": args.y,
             "method": args.method, "max_count": args.max_count,
@@ -227,7 +222,7 @@ def _run_compare(args, fh) -> None:
 
     if not log_xs:
         # no x given: take the largest one the caps admit at this c
-        probe = sieve_primes(10**6)
+        probe = _table_for(min(1e6, args.max_sieve), args.max_sieve)
         lx = largest_feasible_log_x(args.c, probe, max_count=args.max_count)
         log_xs = [(lx, None, "auto")]
         max_y = lx ** args.c
@@ -289,8 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("primes", help="prime table up to a limit")
     sp.add_argument("--limit", type=int, required=True)
-    sp.add_argument("--cache", default=None, metavar="PATH",
-                    help="also write the binary prime cache here")
     common(sp)
 
     sp = sub.add_parser("rho", help="Dickman rho at u")
@@ -361,8 +354,14 @@ def main(argv=None) -> int:
 
     out = None
     try:
-        out = _open_out(args)
+        if args.output:
+            tmp = f"{args.output}.{os.getpid()}.tmp"
+            out = open(tmp, "w")
         _BODIES[args.subcommand](args, out or sys.stdout)
+        if out is not None:
+            out.close()
+            os.replace(tmp, args.output)
+            out = None
         return 0
     except ResourceError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
@@ -370,13 +369,17 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    except DisagreementError as exc:
+        print(f"disagreement: {exc}", file=sys.stderr)
+        return 5
     except BrokenPipeError:
         # reader went away (e.g. piped into head); not our error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     finally:
-        if out is not None:
+        if out is not None:  # the body failed: drop the partial output
             out.close()
+            os.unlink(tmp)
 
 
 if __name__ == "__main__":

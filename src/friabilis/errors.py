@@ -1,6 +1,7 @@
 """Error types shared across the package.
 
-The CLI maps these onto exit codes: domain/range -> 3, resource -> 4.
+The CLI maps these onto exit codes: domain/range -> 3, resource -> 4,
+disagreement -> 5.
 NumericError signals a solver that failed to converge on valid input,
 which is a bug, so it is never caught internally.
 """
@@ -33,5 +34,5 @@ class NumericError(FriabilisError):
     """An iteration failed to converge. Must not happen for valid inputs."""
 
 
-class CacheError(FriabilisError):
-    """A prime-table cache file failed validation."""
+class DisagreementError(FriabilisError):
+    """Exact counting methods returned different counts for one (x, y)."""

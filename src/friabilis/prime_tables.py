@@ -1,30 +1,31 @@
 """Prime tables and the classical counting functions built on them.
 
-A PrimeTable holds every prime up to a limit together with log-prime data
-and a compensated cumulative sum of log p, which makes Chebyshev psi(t)
-cheap for any t <= limit.  On top of the table: pi(t), the logarithmic
-integral li(t) (principal value, anchored at the exact li(2) constant),
-the weighted prime-power count Pi(t) = sum pi(t^{1/k})/k, and the two
-remainders r(t) = psi(t) - t and q(t) = Pi(t) - li(t).
+A PrimeTable holds every prime up to a limit as an int64 array together
+with float64 log-primes.  On top of the table: pi(t), Chebyshev psi(t), the
+logarithmic integral li(t) (principal value, anchored at the exact li(2)
+constant), the weighted prime-power count Pi(t) = sum pi(t^{1/k})/k, and
+the two remainders r(t) = psi(t) - t and q(t) = Pi(t) - li(t).
+
+Code that does exact integer arithmetic on primes takes them as Python
+ints, through ``table.primes[:k].tolist()``: int64 products wrap silently.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import CacheError, DomainError, RangeError, ResourceError
+from .errors import DomainError, RangeError, ResourceError
 
 # li(2) to 30 digits; anchors the principal-value convention so the
 # quadrature only ever runs over [2, t] where the integrand is smooth.
 LI2 = 1.04516378011749278484458888919
 
-# Segment length for the segmented sieve; memory stays O(sqrt(limit) + this).
+# Segment length of the sieve; memory stays O(this) besides the output.
+# The first segment must hold every sieving prime, i.e. sqrt(_MAX_LIMIT).
 _SEGMENT = 1 << 20
 
 _MAX_LIMIT = 10**9
@@ -35,104 +36,69 @@ class PrimeTable:
     """Immutable-by-convention table of all primes <= limit."""
 
     limit: int
-    primes: list
-    log_primes: np.ndarray
-    # cum_logp[i] = sum of log_primes[:i+1], Kahan-compensated at build time.
-    cum_logp: np.ndarray = field(repr=False, default=None)
+    primes: np.ndarray      # int64, ascending
+    log_primes: np.ndarray  # np.log of the primes as float64
 
     def pi(self, t) -> int:
         """Count primes <= t.  t may be real; t must not exceed limit."""
         tf = math.floor(t)
         if tf > self.limit:
             raise RangeError(f"pi query t={t} exceeds table limit {self.limit}")
-        return bisect_right(self.primes, tf)
+        return int(np.searchsorted(self.primes, tf, side="right"))
 
 
-def _simple_sieve(limit: int) -> list:
-    """Monolithic sieve of Eratosthenes, bytearray-backed."""
-    if limit < 2:
-        return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            step = p
-            start = p * p
-            flags[start :: step] = b"\x00" * ((limit - start) // step + 1)
-    return [i for i in range(2, limit + 1) if flags[i]]
+def _sieve(limit: int) -> np.ndarray:
+    """Segmented sieve of Eratosthenes over numpy bool segments.
 
-
-def _segmented_primes(limit: int, segment: int) -> list:
-    root = math.isqrt(limit)
-    base = _simple_sieve(root)
-    primes = list(base)
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + segment - 1, limit)
-        n = hi - lo + 1
-        flags = bytearray(b"\x01") * n
+    The first segment is sieved by its own primes and supplies every
+    sieving prime up to sqrt(limit); later segments cross those out.
+    """
+    first = np.ones(min(limit + 1, _SEGMENT), dtype=bool)
+    first[:2] = False
+    for p in range(2, math.isqrt(len(first) - 1) + 1):
+        if first[p]:
+            first[p * p :: p] = False
+    chunks = [np.flatnonzero(first)]
+    base = chunks[0][: np.searchsorted(chunks[0], math.isqrt(limit), side="right")].tolist()
+    for lo in range(_SEGMENT, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
+        flags = np.ones(hi - lo, dtype=bool)
         for p in base:
-            start = ((lo + p - 1) // p) * p
-            if start < p * p:
-                start = p * p
-            if start <= hi:
-                flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
-        primes.extend(lo + i for i in range(n) if flags[i])
-        lo = hi + 1
-    return primes
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            flags[start - lo :: p] = False
+        chunks.append(np.flatnonzero(flags) + lo)
+    return np.concatenate(chunks).astype(np.int64, copy=False)
 
 
-def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
-    out = np.empty(len(values))
-    s = 0.0
-    c = 0.0
-    for i, v in enumerate(values.tolist()):
-        y = v - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        out[i] = s
-    return out
-
-
-def sieve_primes(limit: int, segment_size: int = _SEGMENT, max_limit: int = _MAX_LIMIT) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """Build a PrimeTable for all primes <= limit.
 
-    segment_size=0 forces the monolithic sieve (useful for cross-checking
-    the segmented one).  Raises DomainError for limit < 2 and ResourceError
-    beyond max_limit.
+    Raises DomainError for limit < 2 and ResourceError beyond 10**9.
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     limit = int(limit)
-    if limit > max_limit:
-        raise ResourceError(f"sieve limit {limit} exceeds cap {max_limit}", estimate=limit)
-    if segment_size:
-        primes = _segmented_primes(limit, int(segment_size))
-    else:
-        primes = _simple_sieve(limit)
-    logp = np.log(np.array(primes, dtype=np.float64))
-    return PrimeTable(limit=limit, primes=primes, log_primes=logp, cum_logp=_kahan_cumsum(logp))
+    if limit > _MAX_LIMIT:
+        raise ResourceError(f"sieve limit {limit} exceeds cap {_MAX_LIMIT}", estimate=limit)
+    primes = _sieve(limit)
+    return PrimeTable(limit=limit, primes=primes, log_primes=np.log(primes.astype(np.float64)))
 
 
 def chebyshev_psi(t, table: PrimeTable) -> float:
     """Chebyshev psi(t) = sum of log p over prime powers p^k <= t.
 
-    The k=1 part comes from the table's compensated prefix sums; higher
-    powers are walked with exact integer comparisons (no float pow at the
-    boundary) and folded in with math.fsum.
+    Higher powers are walked with exact integer comparisons (no float pow
+    at the boundary); one math.fsum over every term rounds the total once.
     """
     if t < 2:
         raise DomainError(f"chebyshev_psi needs t >= 2, got {t}")
     tf = math.floor(t)
     if tf > table.limit:
         raise RangeError(f"t={t} exceeds table limit {table.limit}")
-    k1 = table.pi(tf)
-    terms = [table.cum_logp[k1 - 1]] if k1 else [0.0]
-    root = math.isqrt(tf)
-    for p in table.primes:
-        if p > root:
-            break
+    terms = table.log_primes[: table.pi(tf)].tolist()
+    for p in table.primes[: table.pi(math.isqrt(tf))].tolist():
         lp = math.log(p)
         pk = p * p
         while pk <= tf:
@@ -183,7 +149,7 @@ def big_pi(t, table: PrimeTable) -> float:
         r = _iroot(tf, k)
         if r < 2:
             break
-        terms.append(bisect_right(table.primes, r) / k)
+        terms.append(table.pi(r) / k)
         k += 1
     return math.fsum(terms)
 
@@ -213,92 +179,3 @@ def remainder_sample(t, table: PrimeTable) -> RemainderSample:
         r_t=psi_t - t,
         q_t=bp - li_t,
     )
-
-
-# --- binary cache -----------------------------------------------------------
-#
-# Layout: b"FRB1" | limit as 8-byte little-endian unsigned | varint-encoded
-# prime gaps (first prime stored as a gap from 0).  LEB128 varints.
-
-_MAGIC = b"FRB1"
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def save_prime_cache(table: PrimeTable, path) -> None:
-    buf = bytearray()
-    buf += _MAGIC
-    buf += struct.pack("<Q", table.limit)
-    prev = 0
-    for p in table.primes:
-        gap = p - prev
-        prev = p
-        while True:
-            b = gap & 0x7F
-            gap >>= 7
-            buf.append(b | (0x80 if gap else 0))
-            if not gap:
-                break
-    with open(path, "wb") as fh:
-        fh.write(bytes(buf))
-
-
-def load_prime_cache(path) -> PrimeTable:
-    """Read a cache written by save_prime_cache, validating endpoints."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise CacheError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 12:
-        raise CacheError(f"{path}: truncated header")
-    (limit,) = struct.unpack("<Q", raw[4:12])
-    primes = []
-    val = 0
-    shift = 0
-    prev = 0
-    for byte in raw[12:]:
-        val |= (byte & 0x7F) << shift
-        shift += 7
-        if byte & 0x80:
-            continue
-        if val == 0:
-            raise CacheError(f"{path}: zero gap (corrupt stream)")
-        prev += val
-        primes.append(prev)
-        val = 0
-        shift = 0
-    if shift:
-        raise CacheError(f"{path}: dangling varint")
-    if not primes:
-        raise CacheError(f"{path}: empty prime stream")
-    if primes[-1] > limit:
-        raise CacheError(f"{path}: largest prime {primes[-1]} exceeds recorded limit {limit}")
-    if not _is_prime(primes[0]) or not _is_prime(primes[-1]):
-        raise CacheError(f"{path}: endpoint primality check failed")
-    logp = np.log(np.array(primes, dtype=np.float64))
-    return PrimeTable(limit=limit, primes=primes, log_primes=logp, cum_logp=_kahan_cumsum(logp))

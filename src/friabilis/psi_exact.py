@@ -73,8 +73,8 @@ def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
         raise DomainError(f"eps_guard must be positive, got {eps}")
     _preflight(log_x, table, y, float(max_count))
 
-    k = bisect_right(table.primes, y)
-    ps = table.primes[:k]
+    k = table.pi(y)
+    ps = table.primes[:k].tolist()
     lp = table.log_primes[:k].tolist()
     lo_gate = log_x - eps
     hi_gate = log_x + eps
@@ -134,7 +134,7 @@ def psi_sieve(x, y, *, max_x=10**8, segment=1 << 20) -> PsiResult:
     if y >= x:
         return PsiResult(log_x=math.log(x), y=y, count=x, method="sieve")
 
-    plist = sieve_primes(max(int(y), 2)).primes
+    plist = sieve_primes(max(int(y), 2)).primes.tolist()
     count = 0
     for lo in range(1, x + 1, segment):
         hi = min(lo + segment, x + 1)
@@ -173,10 +173,10 @@ def psi_buchstab(x, table: PrimeTable, y, *, max_x=10**12, max_y=10**5,
         raise ResourceError(f"y = {y} exceeds the recursion cap {max_y}", estimate=float(y))
     if table.limit < y:
         raise DomainError(f"prime table covers {table.limit}, below y = {y}")
-    k = bisect_right(table.primes, y)
+    k = table.pi(y)
     if k == 0:
         raise DomainError(f"no primes at or below y = {y}")
-    ps = table.primes
+    ps = table.primes[:k].tolist()
     memo = {}
 
     def rec(n: int, i: int) -> int:

@@ -7,7 +7,6 @@ point beta = 1 - xi(u)/log y, and the saddle approximation to Psi itself.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,7 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
         raise DomainError(f"solve_alpha needs log_x >= log 2, got {log_x}")
     if table.limit < y:
         raise DomainError(f"prime table covers {table.limit}, below y = {y}")
-    k = bisect_right(table.primes, y)
+    k = table.pi(y)
     if k == 0:
         raise DomainError(f"no primes at or below y = {y}")
     logp = table.log_primes[:k]
@@ -129,7 +128,7 @@ def zeta_partial(s: float, table: PrimeTable, y: float) -> float:
         raise DomainError(f"zeta_partial needs s > 0, got {s}")
     if table.limit < y:
         raise DomainError(f"prime table covers {table.limit}, below y = {y}")
-    k = bisect_right(table.primes, y)
+    k = table.pi(y)
     terms = -np.log1p(-np.exp(-s * table.log_primes[:k]))
     return math.fsum(terms.tolist())
 
@@ -141,7 +140,7 @@ def prime_power_sums(s: float, table: PrimeTable, y: float) -> tuple:
         raise DomainError(f"prime_power_sums needs s > 0, got {s}")
     if table.limit < y:
         raise DomainError(f"prime table covers {table.limit}, below y = {y}")
-    k = bisect_right(table.primes, y)
+    k = table.pi(y)
     logp = table.log_primes[:k]
     s_val = math.fsum(np.exp(-s * logp).tolist())
     t_val = math.fsum(np.exp(-2.0 * s * logp).tolist())

@@ -271,9 +271,7 @@ def q_integral(y: float, alpha: float, table: PrimeTable, *,
     k_end = int(np.searchsorted(lp, math.log(y) * (1.0 + 1e-15), side="right"))
     pi_sum = math.fsum(np.exp(-alpha * lp[:k_end]))
     tail = 0.0
-    for p in table.primes:
-        if p * p > y:
-            break
+    for p in table.primes[: table.pi(math.isqrt(math.floor(y)))].tolist():
         q = p * p
         k = 2
         while q <= y:

@@ -1,5 +1,6 @@
 """CLI surface: grammar, exit codes, output formats, determinism."""
 
+import io
 import json
 import math
 import subprocess
@@ -7,8 +8,8 @@ import sys
 
 import pytest
 
+from friabilis import cli
 from friabilis.cli import main
-from friabilis.prime_tables import load_prime_cache
 from friabilis.theorem import OscillationRecord, RegimeRecord, read_regime_csv
 
 
@@ -196,15 +197,6 @@ def test_alpha_matches_library(capsys):
     assert float(out) == state.alpha  # repr round-trip is exact
 
 
-def test_primes_cache_roundtrip(tmp_path, capsys):
-    path = tmp_path / "p.bin"
-    code, out = run_cli(["primes", "--limit", "1000", "--cache", str(path)], capsys)
-    assert code == 0
-    assert out == "168\n"
-    table = load_prime_cache(path)
-    assert table.limit == 1000 and len(table.primes) == 168
-
-
 def test_primes_csv(capsys):
     code, out = run_cli(["primes", "--limit", "10", "--format", "csv"], capsys)
     lines = out.splitlines()
@@ -220,6 +212,43 @@ def test_output_file_equals_stdout(tmp_path, capsys):
                         "--output", str(path)], capsys)
     assert code2 == 0
     assert path.read_text() == out
+
+
+def test_output_removed_on_error(tmp_path, capsys):
+    path = tmp_path / "P"
+    code, _ = run_cli(["psi", "--x", "100", "--log-x", "4.6", "--y", "5",
+                       "--output", str(path)], capsys)
+    assert code == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_methods_disagree_exit_5(monkeypatch, capsys):
+    real = cli.psi_sieve
+
+    def off_by_one(*args, **kwargs):
+        r = real(*args, **kwargs)
+        r.count += 1
+        return r
+
+    monkeypatch.setattr(cli, "psi_sieve", off_by_one)
+    code = main(["psi", "--x", "100", "--y", "5", "--method", "all"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "sieve=35" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_compare_auto_respects_max_sieve(monkeypatch, capsys):
+    limits = []
+    real = cli.sieve_primes
+    monkeypatch.setattr(cli, "sieve_primes", lambda n: limits.append(n) or real(n))
+    code, out = run_cli(["compare", "--c", "1.5", "--max-sieve", "1000",
+                         "--max-count", "1e5"], capsys)
+    assert code == 0
+    [rec] = read_regime_csv(io.StringIO(out))
+    assert rec.y <= 1000
+    assert limits and max(limits) <= 1000
 
 
 def test_both_x_forms_rejected():

@@ -132,6 +132,35 @@ def test_guard_band_big_integer_path(table):
     assert wide.count == a.count
 
 
+def seven_smooth_count(x):
+    # every 2^a 3^b 5^c 7^d <= x, by nested loops in Python ints
+    cnt = 0
+    q7 = 1
+    while q7 <= x:
+        q5 = q7
+        while q5 <= x:
+            q3 = q5
+            while q3 <= x:
+                q2 = q3
+                while q2 <= x:
+                    cnt += 1
+                    q2 *= 2
+                q3 *= 3
+            q5 *= 5
+        q7 *= 7
+    return cnt
+
+
+def test_big_integer_boundary_pin(table):
+    # 10^30 = 2^30 5^30 lies on the boundary; at 10^30 - 1 it must drop out.
+    # The guard band settles it with the product of the path's prime powers,
+    # which wraps if the primes reach it as int64 instead of Python ints.
+    below = psi_enumerate(None, table, 7.0, x_exact=10**30 - 1).count
+    at = psi_enumerate(None, table, 7.0, x_exact=10**30).count
+    assert below == seven_smooth_count(10**30 - 1) == 462691
+    assert at == seven_smooth_count(10**30) == 462692
+
+
 # --- saddle estimate against exact counts ------------------------------------------
 
 

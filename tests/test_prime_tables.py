@@ -4,18 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from friabilis.errors import CacheError, DomainError, RangeError, ResourceError
+from friabilis.errors import DomainError, RangeError, ResourceError
 from friabilis.prime_tables import (
     LI2,
-    PrimeTable,
+    _SEGMENT,
     _iroot,
-    _simple_sieve,
     big_pi,
     chebyshev_psi,
     li,
-    load_prime_cache,
     remainder_sample,
-    save_prime_cache,
     sieve_primes,
 )
 
@@ -96,26 +93,32 @@ def table_1e6():
 
 
 def test_sieve_20():
-    assert sieve_primes(20).primes == [2, 3, 5, 7, 11, 13, 17, 19]
+    primes = sieve_primes(20).primes
+    assert primes.dtype == np.int64
+    assert primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
 def test_sieve_2():
-    assert sieve_primes(2).primes == [2]
+    assert sieve_primes(2).primes.tolist() == [2]
 
 
 def test_sieve_matches_trial_division():
-    assert sieve_primes(10**4).primes == trial_division_primes(10**4)
+    assert sieve_primes(10**4).primes.tolist() == trial_division_primes(10**4)
 
 
 def test_pi_1e6(table_1e6):
     assert table_1e6.pi(10**6) == 78498
 
 
-def test_segmented_equals_simple():
-    for limit in (10**2, 10**4, 10**6):
-        seg = sieve_primes(limit, segment_size=1 << 12).primes
-        mono = sieve_primes(limit, segment_size=0).primes
-        assert seg == mono
+def test_sieve_segment_edges_by_miller_rabin():
+    # the 1e6 table is one segment; 1e7 spans ten, so every join is checked
+    limit = 10**7
+    table = sieve_primes(limit)
+    assert table.pi(limit) == 664579
+    primes = set(table.primes.tolist())
+    for edge in range(_SEGMENT, limit, _SEGMENT):
+        for n in range(edge - 2000, edge + 2001):
+            assert (n in primes) == mr_is_prime(n), n
 
 
 def test_sieve_tail_by_miller_rabin(table_1e6):
@@ -265,33 +268,3 @@ def test_remainder_sample_2(table_1e6):
 def test_remainder_sample_100(table_1e6):
     rs = remainder_sample(100, table_1e6)
     assert rs.r_t == pytest.approx(-5.9546887706, abs=1e-8)
-
-
-# --- cache ------------------------------------------------------------------------
-
-
-def test_cache_round_trip(tmp_path):
-    t = sieve_primes(10**5)
-    path = tmp_path / "p.frb"
-    save_prime_cache(t, path)
-    back = load_prime_cache(path)
-    assert back.limit == t.limit
-    assert back.primes == t.primes
-    assert np.array_equal(back.log_primes, t.log_primes)
-
-
-def test_cache_corruption_detected(tmp_path):
-    t = sieve_primes(10**4)
-    path = tmp_path / "p.frb"
-    save_prime_cache(t, path)
-    raw = bytearray(path.read_bytes())
-    raw[0] = ord("X")
-    (tmp_path / "bad_magic.frb").write_bytes(bytes(raw))
-    with pytest.raises(CacheError):
-        load_prime_cache(tmp_path / "bad_magic.frb")
-    # flip a gap byte so the last prime moves off a prime
-    raw = bytearray(path.read_bytes())
-    raw[-1] ^= 0x03
-    (tmp_path / "bad_tail.frb").write_bytes(bytes(raw))
-    with pytest.raises(CacheError):
-        load_prime_cache(tmp_path / "bad_tail.frb")
