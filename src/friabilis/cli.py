@@ -6,9 +6,11 @@ or JSON.  JSON output is one object {"meta": {...}, "rows": [...]} where
 meta echoes the resolved configuration.  Identical invocations produce
 byte-identical output: no randomness, no timestamps, repr-stable floats.
 
-Exit codes: 0 success, 2 usage, 3 domain/range error, 4 resource cap,
-5 exact methods disagree.  --output is written to a temporary file in
-the same directory and renamed over PATH only on success.
+Exit codes: 0 success, 2 usage (including a float option given as nan
+or inf), 3 domain/range error (including an --output or --export-grid
+path that cannot be opened for writing), 4 resource cap, 5 exact methods
+disagree.  --output is written to a temporary file in the same directory
+and renamed over PATH only on success.
 """
 
 import argparse
@@ -44,6 +46,24 @@ def _parse_x(text: str) -> int:
     if n != d or n < 1:
         raise argparse.ArgumentTypeError(f"x must be a positive integer, got {text!r}")
     return n
+
+
+def _finite(text: str) -> float:
+    """A float option; nan and infinities are usage errors."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return v
+
+
+def _open_for_write(path: str, shown: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise DomainError(f"cannot write {shown}: {exc.strerror or exc}") from exc
 
 
 def _x_form(text: str) -> str:
@@ -105,7 +125,7 @@ def _run_rho(args, fh) -> None:
         if args.export_grid == "-":
             export_grid_csv(grid, fh)
         else:
-            with open(args.export_grid, "w") as out:
+            with _open_for_write(args.export_grid, args.export_grid) as out:
                 export_grid_csv(grid, out)
         return
     if args.u is None:
@@ -175,8 +195,11 @@ def _run_psi(args, fh) -> None:
     if args.y < 2.0:
         raise DomainError(f"psi needs y >= 2, got y={args.y}")
     # primes above x never enter a factorization of n <= x, so the table
-    # (and the y handed to the methods) can stop at x
-    y_eff = min(args.y, math.floor(math.exp(log_x)) + 1.0)
+    # (and the y handed to the methods) can stop at x; exp(log_x) is only
+    # taken below log y, where it cannot overflow
+    y_eff = args.y
+    if log_x < math.log(args.y):
+        y_eff = min(args.y, math.floor(math.exp(log_x)) + 1.0)
     table = None
     if args.method in ("enum", "buchstab", "all"):
         table = _table_for(y_eff, args.max_sieve)
@@ -273,13 +296,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("plain", "csv", "json"),
                         default=default_format)
         sp.add_argument("--output", default=None, metavar="PATH")
-        sp.add_argument("--max-sieve", type=float, default=1e8,
+        sp.add_argument("--max-sieve", type=_finite, default=1e8,
                         help="largest prime table / sieve bound (default 1e8)")
 
     def x_args(sp):
         sp.add_argument("--x", type=str, default=None,
                         help="x as decimal or scientific (1e18)")
-        sp.add_argument("--log-x", type=float, default=None,
+        sp.add_argument("--log-x", type=_finite, default=None,
                         help="log x, for x too large to write out")
 
     sp = sub.add_parser("primes", help="prime table up to a limit")
@@ -287,41 +310,41 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("rho", help="Dickman rho at u")
-    sp.add_argument("--u", type=float, default=None)
+    sp.add_argument("--u", type=_finite, default=None)
     sp.add_argument("--log", action="store_true", help="print log rho instead")
     sp.add_argument("--export-grid", default=None, metavar="PATH",
                     help="write the rho grid as CSV (- for stdout)")
     common(sp)
 
     sp = sub.add_parser("xi", help="xi(u): the nonzero root of e^xi = 1 + u xi")
-    sp.add_argument("--u", type=float, required=True)
+    sp.add_argument("--u", type=_finite, required=True)
     common(sp)
 
     sp = sub.add_parser("alpha", help="saddle point alpha(x, y)")
     x_args(sp)
-    sp.add_argument("--y", type=float, required=True)
+    sp.add_argument("--y", type=_finite, required=True)
     common(sp)
 
     sp = sub.add_parser("psi", help="exact count of y-friable n <= x")
     x_args(sp)
-    sp.add_argument("--y", type=float, required=True)
+    sp.add_argument("--y", type=_finite, required=True)
     sp.add_argument("--method", choices=("enum", "sieve", "buchstab", "all"),
                     default="enum")
-    sp.add_argument("--max-count", type=float, default=1e8)
+    sp.add_argument("--max-count", type=_finite, default=1e8)
     common(sp)
 
     sp = sub.add_parser("compare", help="regime records: measured vs predicted gap")
-    sp.add_argument("--c", type=float, required=True)
+    sp.add_argument("--c", type=_finite, required=True)
     sp.add_argument("--x", type=str, action="append",
                     help="x value, repeatable; omit to auto-select the largest feasible")
-    sp.add_argument("--log-x", type=float, action="append")
-    sp.add_argument("--max-count", type=float, default=1e8)
+    sp.add_argument("--log-x", type=_finite, action="append")
+    sp.add_argument("--max-count", type=_finite, default=1e8)
     common(sp, default_format="csv")
 
     sp = sub.add_parser("oscillate", help="oscillation scan over a y grid")
-    sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--y-min", type=float, required=True)
-    sp.add_argument("--y-max", type=float, required=True)
+    sp.add_argument("--c", type=_finite, required=True)
+    sp.add_argument("--y-min", type=_finite, required=True)
+    sp.add_argument("--y-max", type=_finite, required=True)
     sp.add_argument("--y-steps", type=int, required=True)
     sp.add_argument("--jobs", type=int, default=1)
     common(sp, default_format="csv")
@@ -356,7 +379,7 @@ def main(argv=None) -> int:
     try:
         if args.output:
             tmp = f"{args.output}.{os.getpid()}.tmp"
-            out = open(tmp, "w")
+            out = _open_for_write(tmp, args.output)
         _BODIES[args.subcommand](args, out or sys.stdout)
         if out is not None:
             out.close()

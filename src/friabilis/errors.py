@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
 The CLI maps these onto exit codes: domain/range -> 3, resource -> 4,
-disagreement -> 5.
+disagreement -> 5. The CLI also raises DomainError for an output path
+(--output, --export-grid) that cannot be opened for writing.
 NumericError signals a solver that failed to converge on valid input,
 which is a bug, so it is never caught internally.
 """

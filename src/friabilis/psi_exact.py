@@ -1,14 +1,16 @@
 """Exact counts of y-friable integers by three mutually checking methods.
 
-psi_enumerate walks exponent vectors in log space, so x can be astronomically
-large when y is small (the regime where u = log x/log y is big). Exactness at
-the x boundary is restored by big-integer resolution of guard-band hits.
+psi_enumerate meets in the middle: it splits the primes up to y between two
+numpy sets of friable integers kept in log space and joins the sets with
+searchsorted. x can be astronomically large when y is small (the regime
+where u = log x/log y is big). Exactness at the x boundary is restored by
+big-integer resolution of guard-band hits, whose exact values are rebuilt
+from links each set member keeps to the member it extends.
 psi_sieve is a segmented largest-prime-factor sieve for moderate x.
 psi_buchstab is the memoized recursion on (quotient, prime-index) states.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,19 +40,99 @@ def _preflight(log_x: float, table: PrimeTable, y: float, max_count: float) -> N
         )
 
 
+def _sorted(logs, ids):
+    # the stable sort is a timsort: it merges already-sorted runs in linear time
+    order = np.argsort(logs, kind="stable")
+    return logs[order], ids[order]
+
+
+class _Friables:
+    """The integers made of the primes added so far, with log <= hi_gate.
+
+    Members are numbered as they are made: member 0 is 1, and each later
+    member is an earlier one (its parent) times p^e for the prime p being
+    added. So an exact value is a product of at most one power per prime,
+    rebuilt only for the few guard-band hits, and a member costs a float64
+    log and three int32 numbers however large it is (a value can run to
+    log_x / log 2 bits). The logs and member numbers sit in log-sorted
+    runs, so the members that p^e extends are a prefix of each run. New
+    members become one run, and the last two runs merge while the older
+    is at most twice the newer: O(log n) runs, and each member is
+    re-sorted O(log n) times.
+    """
+
+    def __init__(self, hi_gate: float):
+        self.hi_gate = hi_gate
+        self.size = 1
+        self.runs = [(np.zeros(1), np.zeros(1, dtype=np.int32))]
+        self.links = []  # (parent numbers, p, powers) for each batch of members
+        self._flat = None  # parent, prime and power of every member
+
+    def add(self, p: int, lp: float) -> None:
+        new_logs, new_ids = [], []
+        for logs, ids in self.runs:
+            if logs[0] + lp > self.hi_gate:
+                continue
+            # the first m[e - 1] members of the run times p^e stay within the gate
+            es = np.arange(1, (self.hi_gate - logs[0]) // lp + 2, dtype=np.int64)
+            m = np.searchsorted(logs, self.hi_gate - es * lp, side="right")
+            n = int(m.sum())
+            if not n:
+                continue
+            if self.size + n >= 2**31:  # member numbers and powers are int32
+                raise ResourceError(f"a friable set would pass 2^31 members at p = {p}",
+                                    estimate=float(self.size + n))
+            power = np.repeat(es.astype(np.int32), m)
+            src = np.arange(n) - np.repeat(np.cumsum(m) - m, m)
+            new_logs.append(logs[src] + power * lp)
+            new_ids.append(np.arange(self.size, self.size + n, dtype=np.int32))
+            self.links.append((ids[src], p, power))
+            self.size += n
+        if not new_logs:
+            return
+        runs = self.runs
+        runs.append(_sorted(np.concatenate(new_logs), np.concatenate(new_ids)))
+        while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+            (l2, i2), (l1, i1) = runs.pop(), runs.pop()
+            runs.append(_sorted(np.concatenate((l1, l2)), np.concatenate((i1, i2))))
+
+    def joined(self):
+        """All members as one (logs, member numbers) pair, the runs dropped."""
+        logs, ids = map(np.concatenate, zip(*self.runs))
+        self.runs = None
+        return logs, ids
+
+    def value(self, i: int) -> int:
+        """The exact value of member i, as a Python int."""
+        if self._flat is None:
+            zero = np.zeros(1, dtype=np.int32)
+            parents, ps, powers = zip((zero, 1, zero), *self.links)
+            self._flat = (np.concatenate(parents),
+                          np.repeat(ps, [a.size for a in parents]),
+                          np.concatenate(powers))
+        parent, prime, power = self._flat
+        v = 1
+        while i:
+            v *= int(prime[i]) ** int(power[i])
+            i = int(parent[i])
+        return v
+
+
 def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
                   eps_guard=None, max_count=10**8) -> PsiResult:
-    """Count y-friable n with log n <= log_x by DFS over exponent vectors.
+    """Count y-friable n with log n <= log_x by meet in the middle.
 
-    The DFS keeps a float partial sum of exponent * log p. Nodes landing
-    within eps_guard of log_x are guard-band hits: with x_exact given they
-    are settled by exact big-integer comparison; otherwise they count iff
-    the float sum is <= log_x, and the tally is reported in
+    The primes up to y are split between two sets: A takes them from the
+    bottom and B from the top, the next prime always going to whichever
+    set is smaller now. Each set holds its friable integers with log at
+    most hi_gate = log_x + eps_guard, so both stay below the count that
+    the preflight caps. Every friable n <= x is one product a * b, and
+    for each b two searchsorted gates on the sorted logs of A split A:
+    below lo_gate - log b the product counts; above hi_gate - log b it
+    does not; in between it is a guard-band hit. With x_exact given a hit
+    is settled by a * b <= x_exact in Python ints; otherwise it counts
+    iff log a + log b <= log_x. The hits are tallied in
     boundary_ambiguous either way.
-
-    Branch order picks the prime carrying the next nonzero exponent largest
-    first, so recursion depth is the number of distinct prime factors, not
-    the number of primes below y.
     """
     y = float(y)
     if y < 2.0:
@@ -73,46 +155,35 @@ def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
         raise DomainError(f"eps_guard must be positive, got {eps}")
     _preflight(log_x, table, y, float(max_count))
 
-    k = table.pi(y)
-    ps = table.primes[:k].tolist()
-    lp = table.log_primes[:k].tolist()
     lo_gate = log_x - eps
     hi_gate = log_x + eps
+    # a prime above x e^eps divides no member of either set
+    k = min(table.pi(y), int(np.searchsorted(table.log_primes, hi_gate, side="right")))
+    ps = table.primes[:k].tolist()
+    lp = table.log_primes[:k].tolist()
+    a, b = _Friables(hi_gate), _Friables(hi_gate)
+    i, j = 0, k - 1
+    while i <= j:
+        if a.size <= b.size:
+            a.add(ps[i], lp[i])
+            i += 1
+        else:
+            b.add(ps[j], lp[j])
+            j -= 1
+
+    a_logs, a_ids = _sorted(*a.joined())
+    b_logs, b_ids = b.joined()
+    below = np.searchsorted(a_logs, lo_gate - b_logs, side="left")
+    above = np.searchsorted(a_logs, hi_gate - b_logs, side="right")
+    count = int(below.sum())
     hits = 0
-    path = []  # (prime index, exponent) along the current DFS path
-
-    def band_in(t: float) -> bool:
-        nonlocal hits
-        hits += 1
-        if x_exact is None:
-            return t <= log_x
-        prod = 1
-        for j, e in path:
-            prod *= ps[j] ** e
-        return prod <= x_exact
-
-    def walk(i: int, s: float) -> int:
-        # counts the node at partial sum s plus every extension using prime
-        # indices <= i; every call site has already admitted the node at s.
-        # Indices whose single step already overshoots are skipped wholesale.
-        total = 1
-        # pad the cutoff so it over-covers the loop test s + lp[j] <= hi_gate
-        # despite subtraction rounding; stray indices fail the while at once
-        top = bisect_right(lp, hi_gate - s + 1e-12, 0, i + 1) - 1
-        for j in range(top, -1, -1):
-            step = lp[j]
-            e = 1
-            t = s + step
-            while t <= hi_gate:
-                path.append((j, e))
-                if t < lo_gate or band_in(t):
-                    total += walk(j - 1, t)
-                path.pop()
-                e += 1
-                t = s + step * e
-        return total
-
-    count = walk(k - 1, 0.0)
+    for jb in np.flatnonzero(above > below).tolist():
+        for ia in range(int(below[jb]), int(above[jb])):
+            hits += 1
+            if x_exact is None:
+                count += float(a_logs[ia]) + float(b_logs[jb]) <= log_x
+            else:
+                count += a.value(int(a_ids[ia])) * b.value(int(b_ids[jb])) <= x_exact
     return PsiResult(log_x=log_x, y=y, count=count, method="enumerate",
                      boundary_ambiguous=hits)
 

@@ -1,5 +1,6 @@
 """CLI surface: grammar, exit codes, output formats, determinism."""
 
+import decimal
 import io
 import json
 import math
@@ -220,6 +221,57 @@ def test_output_removed_on_error(tmp_path, capsys):
                        "--output", str(path)], capsys)
     assert code == 3
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--x", "100", "--y", "5", "--output", "{dir}/nodir/P"],
+    ["rho", "--export-grid", "{dir}/nodir/g.csv"],
+])
+def test_unwritable_path_exit_3(argv, tmp_path, capsys):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"domain error: cannot write {argv[-1]}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", "--u", "nan"],
+    ["xi", "--u", "nan"],
+    ["alpha", "--x", "1e6", "--y", "nan"],
+    ["psi", "--x", "1e6", "--y", "nan"],
+    ["psi", "--log-x", "nan", "--y", "5"],
+    ["psi", "--log-x", "inf", "--y", "5"],
+    ["compare", "--c", "nan", "--x", "1e6"],
+])
+def test_non_finite_float_option_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
+def test_psi_log_x_beyond_float_exp(capsys):
+    # e^800 overflows a float; the count needs only log x. Every 2^a 3^b
+    # at most e^800, by a loop in Python ints against floor(e^800)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        x = int(decimal.Decimal(800).exp())
+    want = 0
+    q3 = 1
+    while q3 <= x:
+        q = q3
+        while q <= x:
+            want += 1
+            q *= 2
+        q3 *= 3
+    code, out = run_cli(["psi", "--log-x", "800", "--y", "3"], capsys)
+    assert code == 0
+    assert int(out) == want == 421165
 
 
 def test_methods_disagree_exit_5(monkeypatch, capsys):

@@ -1,12 +1,13 @@
 """Exact Psi counts: three methods against a brute-force oracle and each other."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from friabilis.errors import DomainError, ResourceError
 from friabilis.prime_tables import sieve_primes
-from friabilis.psi_exact import psi_buchstab, psi_enumerate, psi_sieve
+from friabilis.psi_exact import _Friables, psi_buchstab, psi_enumerate, psi_sieve
 from friabilis.saddle import psi_saddle
 
 
@@ -80,6 +81,39 @@ def test_three_way_at_1e7(table):
     s = psi_sieve(10**7, 1000.0).count
     b = psi_buchstab(10**7, table, 1000.0).count
     assert e == s == b
+
+
+def test_large_y_small_u(table):
+    # 1229 primes at u = 2: the large-y, small-u shape that a badly split
+    # meet-in-the-middle build cannot hold in memory
+    e = psi_enumerate(None, table, 1e4, x_exact=10**8).count
+    b = psi_buchstab(10**8, table, 1e4).count
+    assert e == b == 33268090
+
+
+def test_huge_x_tiny_y_memory(table):
+    # at y = 2 one set holds all 43,001 powers of two up to x; their values
+    # total 110 MiB, so the sets must keep logs and links, not the values
+    tracemalloc.start()
+    try:
+        r = psi_enumerate(None, table, 2.0, x_exact=2**43000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.count == 43001 and r.boundary_ambiguous == 1
+    assert peak < 32 * 2**20
+
+
+def test_member_numbers_stay_int32():
+    # a set numbers its members in int32, so it refuses to pass 2^31 of them
+    # rather than wrap; preset the count instead of building 2^31 members
+    members = _Friables(14.5 * math.log(2.0))  # takes 2^1 .. 2^14
+    members.size = 2**31 - 14
+    with pytest.raises(ResourceError):
+        members.add(2, math.log(2.0))
+    members.size = 2**31 - 15
+    members.add(2, math.log(2.0))
+    assert members.size == 2**31 - 1
 
 
 def test_monotonicity(table):
