@@ -92,7 +92,7 @@ def _emit_rows(args, meta: dict, rows: list, csv_writer, fh) -> None:
 
 
 def _table_for(y: float, max_sieve: float):
-    limit = max(int(math.ceil(y)), 3)
+    limit = int(math.ceil(y))
     if limit > max_sieve:
         raise ResourceError(
             f"prime table to {limit} exceeds --max-sieve {max_sieve:.3g}")

@@ -11,25 +11,27 @@ near u ~ 130 while the regimes of interest reach u ~ 300, so the window
 sum is evaluated relative to the previous node's log value.
 
 xi(u) is the nonzero root of e^xi = 1 + u*xi, int_exp is
-I(s) = integral of (e^v - 1)/v over [0, s], and xi_integral is
-integral of t xi'(t) over [1, u], evaluated by parts.
+I(s) = integral of (e^v - 1)/v over [0, s], summed as its everywhere
+convergent series, and xi_integral is integral of t xi'(t) over [1, u],
+which the substitution v = xi(t) turns into I(xi(u)).  No quadrature.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericError, RangeError
 
 EULER_GAMMA = 0.57721566490153286060651209008
 
 _MAX_U = 500.0
-_SERIES_CUT = 30.0
+# I(s) ~ e^s / s; e^s itself overflows a double beyond this
+_MAX_S = math.log(sys.float_info.max)
 
 
 # --- xi ----------------------------------------------------------------------
@@ -96,52 +98,41 @@ def xi_expansion(u) -> float:
 # --- I(s) ----------------------------------------------------------------------
 
 
-def _int_exp_series(s: float) -> float:
-    # sum s^k / (k * k!), termwise compensated
+def int_exp(s) -> float:
+    """I(s) = integral of (e^v - 1)/v over [0, s], for 0 <= s <= log(DBL_MAX).
+
+    Summed as the series I(s) = sum_{k>=1} s^k / (k k!), whose terms are
+    all positive, so nothing cancels at any s.  The terms peak near k = s
+    and fall below 1e-20 of the sum by k = s + 10 sqrt(s) + 50, inside the
+    2s + 100 the loop allows.
+    """
+    s = float(s)
+    if not s >= 0.0:
+        raise DomainError(f"int_exp needs s >= 0, got {s}")
+    if s > _MAX_S:
+        raise RangeError(f"int_exp needs s <= {_MAX_S:.2f} (e^s overflows), got {s}")
     pw = 1.0
     run = 0.0
     terms = []
-    for k in range(1, 500):
+    for k in range(1, int(2.0 * s) + 100):
         pw *= s / k
         term = pw / k
         terms.append(term)
         run += term
-        if term < 1e-20 * (1.0 + abs(run)):
+        if term < 1e-20 * (1.0 + run):
             break
     return math.fsum(terms)
 
 
-def _int_exp_quad_tail(s: float) -> float:
-    val, _ = quad(lambda v: math.expm1(v) / v, _SERIES_CUT, s, epsabs=0.0, epsrel=1e-12, limit=200)
-    return val
-
-
-def int_exp(s) -> float:
-    """I(s) = integral of (e^v - 1)/v over [0, s], s >= 0.
-
-    Series below s = 30, series-plus-quadrature above; the two branches
-    agree to ~1e-12 relative at the seam.
-    """
-    s = float(s)
-    if s < 0:
-        raise DomainError(f"int_exp needs s >= 0, got {s}")
-    if s == 0.0:
-        return 0.0
-    if s <= _SERIES_CUT:
-        return _int_exp_series(s)
-    return _int_exp_series(_SERIES_CUT) + _int_exp_quad_tail(s)
-
-
 def xi_integral(u) -> float:
-    """integral of t xi'(t) dt over [1, u], via parts: u xi(u) - integral xi."""
+    """integral of t xi'(t) dt over [1, u].
+
+    Exactly I(xi(u)): with v = xi(t), t = (e^v - 1)/v and t xi'(t) dt = t dv.
+    """
     u = float(u)
     if u < 1.0:
         raise DomainError(f"xi_integral needs u >= 1, got {u}")
-    if u == 1.0:
-        return 0.0
-    xv = xi(u)
-    tail, _ = quad(lambda t: xi(t).xi, 1.0, u, epsabs=0.0, epsrel=1e-11, limit=300)
-    return u * xv.xi - tail
+    return int_exp(xi(u).xi)
 
 
 def xi_prime(u) -> float:

@@ -2,8 +2,8 @@
 
 A PrimeTable holds every prime up to a limit as an int64 array together
 with float64 log-primes.  On top of the table: pi(t), Chebyshev psi(t), the
-logarithmic integral li(t) (principal value, anchored at the exact li(2)
-constant), the weighted prime-power count Pi(t) = sum pi(t^{1/k})/k, and
+logarithmic integral li(t) (principal value, as Ei(log t) from its
+series), the weighted prime-power count Pi(t) = sum pi(t^{1/k})/k, and
 the two remainders r(t) = psi(t) - t and q(t) = Pi(t) - li(t).
 
 Code that does exact integer arithmetic on primes takes them as Python
@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
+from .dickman import EULER_GAMMA, int_exp
 from .errors import DomainError, RangeError, ResourceError
 
-# li(2) to 30 digits; anchors the principal-value convention so the
-# quadrature only ever runs over [2, t] where the integrand is smooth.
+# li(2) to 30 digits, the correctly rounded double that li(2) returns
 LI2 = 1.04516378011749278484458888919
 
 # Segment length of the sieve; memory stays O(this) besides the output.
@@ -108,13 +107,18 @@ def chebyshev_psi(t, table: PrimeTable) -> float:
 
 
 def li(t) -> float:
-    """Principal-value logarithmic integral, li(2) baked + adaptive quadrature."""
+    """Principal-value logarithmic integral, li(t) = Ei(log t) for t >= 2.
+
+    Ei(s) = gamma + log s + I(s) (Abramowitz-Stegun 5.1.10), with I the
+    all-positive series of dickman.int_exp; log t <= 20.8 up to 10^9.  At
+    t = 2 that sum lands one ulp from li(2), so LI2 is returned there.
+    """
     if t < 2:
         raise DomainError(f"li implemented for t >= 2, got {t}")
     if t == 2:
         return LI2
-    val, _err = quad(lambda v: 1.0 / math.log(v), 2.0, float(t), epsabs=0.0, epsrel=1e-12, limit=200)
-    return LI2 + val
+    s = math.log(t)
+    return EULER_GAMMA + math.log(s) + int_exp(s)
 
 
 def _iroot(n: int, k: int) -> int:

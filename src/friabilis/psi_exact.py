@@ -30,9 +30,16 @@ class PsiResult:
 
 
 def _preflight(log_x: float, table: PrimeTable, y: float, max_count: float) -> None:
+    if not max_count > 0:
+        raise DomainError(f"max_count must be positive, got {max_count}")
     # saddle estimate where it is defined; plain x as the bound when u < 2
     u = log_x / math.log(y)
     est_log = psi_saddle(log_x, table, y) if u >= 2.0 else log_x
+    # proven: a y-friable n <= x is prod p^e with e <= log x / log p, so the
+    # count is at most prod_{p <= y} (1 + floor(log x / log p)); exact at
+    # y = 2, where the saddle estimate is far off
+    lp = table.log_primes[: table.pi(y)]
+    est_log = min(est_log, float(np.log1p(np.floor(log_x / lp)).sum()))
     if est_log > math.log(max_count):
         raise ResourceError(
             f"estimated count exp({est_log:.2f}) exceeds the cap {max_count:.3g}",

@@ -303,6 +303,36 @@ def test_compare_auto_respects_max_sieve(monkeypatch, capsys):
     assert limits and max(limits) <= 1000
 
 
+def test_primes_limit_2_lists_only_2(capsys):
+    from friabilis.prime_tables import sieve_primes
+    from friabilis.saddle import solve_alpha
+    assert run_cli(["primes", "--limit", "2"], capsys) == (0, "1\n")
+    assert run_cli(["primes", "--limit", "2", "--format", "csv"], capsys) == (
+        0, "p,log_p\n2,0.69314718055994529\n")
+    for limit in ("1", "0", "-3"):
+        assert run_cli(["primes", "--limit", limit], capsys)[0] == 3
+    # y = 2 now gets a table of the one prime 2
+    assert run_cli(["psi", "--x", "1e6", "--y", "2", "--method", "all"], capsys) == (0, "20\n")
+    code, out = run_cli(["alpha", "--x", "1e6", "--y", "2"], capsys)
+    assert code == 0
+    assert float(out) == solve_alpha(math.log(1e6), sieve_primes(100), 2.0).alpha
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_max_count_not_positive_exit_3(cap, capsys):
+    assert main(["psi", "--x", "1e6", "--y", "100", "--max-count", cap]) == 3
+    assert "max_count must be positive" in capsys.readouterr().err
+
+
+def test_no_scipy_at_runtime():
+    # scipy is a test-only oracle; importing the package and its CLI must not load it
+    code = ("import sys, friabilis, friabilis.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
+
+
 def test_both_x_forms_rejected():
     assert run_proc(["psi", "--x", "100", "--log-x", "4.6", "--y", "5"]).returncode == 3
     assert run_proc(["psi", "--y", "5"]).returncode == 3

@@ -223,6 +223,19 @@ def test_enumerate_preflight(table):
         psi_enumerate(math.log(1e6), table, 100.0, max_count=1000)
 
 
+def test_preflight_exact_at_y_2():
+    # the powers of two up to e^1e6: floor(1e6 / log 2) + 1 = 1,442,696. The
+    # prime-power bound that caps the estimate is exact at y = 2, so a cap of
+    # that count admits the cell and one less refuses it (the saddle estimate
+    # alone is exp(21.35))
+    small = sieve_primes(10)
+    count = math.floor(1e6 / math.log(2)) + 1
+    assert count == 1_442_696
+    assert psi_enumerate(1e6, small, 2.0, max_count=count).count == count
+    with pytest.raises(ResourceError):
+        psi_enumerate(1e6, small, 2.0, max_count=count - 1)
+
+
 def test_enumerate_domain_errors(table):
     with pytest.raises(DomainError):
         psi_enumerate(3.0, table, 1.5)
@@ -232,6 +245,9 @@ def test_enumerate_domain_errors(table):
         psi_enumerate(None, table, 5.0)
     with pytest.raises(DomainError):
         psi_enumerate(3.0, table, 5.0, eps_guard=0.0)
+    for cap in (0, -5, math.nan):
+        with pytest.raises(DomainError):
+            psi_enumerate(3.0, table, 5.0, max_count=cap)
     small = sieve_primes(100)
     with pytest.raises(DomainError):
         psi_enumerate(5.0, small, 500.0)

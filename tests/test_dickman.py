@@ -288,6 +288,18 @@ def test_int_exp_basics():
     assert int_exp(1.0) == pytest.approx(series_int_exp(1.0), rel=1e-13)
     with pytest.raises(DomainError):
         int_exp(-0.5)
+    with pytest.raises(DomainError):
+        int_exp(math.nan)
+    # e^s overflows a double past log(DBL_MAX) = 709.78; a typed error, not inf
+    with pytest.raises(RangeError):
+        int_exp(710.0)
+
+
+def test_int_exp_series_against_quadrature():
+    # one series over the whole range, well past the old series/quadrature seam
+    for s in (30.0, 30.5, 50.0, 100.0, 300.0, 700.0):
+        qv, _ = quad(lambda v: math.expm1(v) / v, 0.0, s, epsabs=0, epsrel=1e-13, limit=500)
+        assert int_exp(s) == pytest.approx(qv, rel=1e-12)
 
 
 def test_int_exp_dual_method_and_seam():

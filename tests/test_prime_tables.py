@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from friabilis.errors import DomainError, RangeError, ResourceError
 from friabilis.prime_tables import (
@@ -196,6 +197,13 @@ def test_li_10():
 def test_li_against_series():
     for t in (2.0, 3.5, 10.0, 100.0, 1e4, 1e6, 1e8):
         assert li(t) == pytest.approx(li_series(t), rel=1e-10)
+
+
+def test_li_against_quadrature():
+    # principal value: li(2) plus the smooth integral of 1/log v over [2, t]
+    for t in (2.0, 2.5, 10.0, 1e3, 1e6, 1e9):
+        qv, _ = quad(lambda v: 1.0 / math.log(v), 2.0, t, epsabs=0, epsrel=1e-13, limit=500)
+        assert li(t) == pytest.approx(LI2 + qv, rel=1e-12)
 
 
 def test_li_increasing_and_pnt_band():
