@@ -29,7 +29,8 @@ class PsiResult:
     boundary_ambiguous: int = 0
 
 
-def _preflight(log_x: float, table: PrimeTable, y: float, max_count: float) -> None:
+def _preflight(log_x: float, table: PrimeTable, y: float, max_count: float,
+               log_primes: np.ndarray) -> None:
     if not max_count > 0:
         raise DomainError(f"max_count must be positive, got {max_count}")
     # saddle estimate where it is defined; plain x as the bound when u < 2
@@ -37,9 +38,9 @@ def _preflight(log_x: float, table: PrimeTable, y: float, max_count: float) -> N
     est_log = psi_saddle(log_x, table, y) if u >= 2.0 else log_x
     # proven: a y-friable n <= x is prod p^e with e <= log x / log p, so the
     # count is at most prod_{p <= y} (1 + floor(log x / log p)); exact at
-    # y = 2, where the saddle estimate is far off
-    lp = table.log_primes[: table.pi(y)]
-    est_log = min(est_log, float(np.log1p(np.floor(log_x / lp)).sum()))
+    # y = 2, where the saddle estimate is far off. log_primes holds the logs
+    # of the primes up to min(y, x e^eps); those above x add log 1 = 0.
+    est_log = min(est_log, float(np.log1p(np.floor(log_x / log_primes)).sum()))
     if est_log > math.log(max_count):
         raise ResourceError(
             f"estimated count exp({est_log:.2f}) exceeds the cap {max_count:.3g}",
@@ -160,12 +161,11 @@ def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
     eps = 1e-9 * (1.0 + log_x) if eps_guard is None else float(eps_guard)
     if eps <= 0.0:
         raise DomainError(f"eps_guard must be positive, got {eps}")
-    _preflight(log_x, table, y, float(max_count))
-
     lo_gate = log_x - eps
     hi_gate = log_x + eps
     # a prime above x e^eps divides no member of either set
     k = min(table.pi(y), int(np.searchsorted(table.log_primes, hi_gate, side="right")))
+    _preflight(log_x, table, y, float(max_count), table.log_primes[:k])
     ps = table.primes[:k].tolist()
     lp = table.log_primes[:k].tolist()
     a, b = _Friables(hi_gate), _Friables(hi_gate)

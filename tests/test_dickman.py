@@ -295,17 +295,11 @@ def test_int_exp_basics():
         int_exp(710.0)
 
 
-def test_int_exp_series_against_quadrature():
-    # one series over the whole range, well past the old series/quadrature seam
-    for s in (30.0, 30.5, 50.0, 100.0, 300.0, 700.0):
+def test_int_exp_dual_method_and_seam():
+    # one series over the whole range, across the old series/quadrature seam at 30
+    for s in (10.0, 29.9, 30.0, 30.1, 30.5, 40.0, 50.0, 100.0, 300.0, 700.0):
         qv, _ = quad(lambda v: math.expm1(v) / v, 0.0, s, epsabs=0, epsrel=1e-13, limit=500)
         assert int_exp(s) == pytest.approx(qv, rel=1e-12)
-
-
-def test_int_exp_dual_method_and_seam():
-    for s in (10.0, 29.9, 30.0, 30.1, 40.0):
-        qv, _ = quad(lambda v: math.expm1(v) / v, 0.0, s, epsabs=0, epsrel=1e-12, limit=300)
-        assert int_exp(s) == pytest.approx(qv, rel=1e-10)
 
 
 def test_int_exp_increasing_and_convex():
