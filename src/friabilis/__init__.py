@@ -63,6 +63,7 @@ from .theorem import (
     read_oscillation_csv,
     read_regime_csv,
     regime_record,
+    regime_y,
     write_oscillation_csv,
     write_regime_csv,
     z_bruijn,

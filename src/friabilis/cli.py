@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: primes, rho, xi, alpha, psi, compare, oscillate.  Scalar
-queries print a single value; row-producing commands emit CSV (default)
-or JSON.  JSON output is one object {"meta": {...}, "rows": [...]} where
-meta echoes the resolved configuration.  Identical invocations produce
+queries print a single value; every command also emits its rows as CSV
+(the default of compare and oscillate) or JSON.  JSON output is one
+object {"meta": {...}, "rows": [...]} where meta echoes the resolved
+configuration.  Identical invocations produce
 byte-identical output: no randomness, no timestamps, repr-stable floats.
 
 Exit codes: 0 success, 2 usage (including a float option given as nan
@@ -31,6 +32,7 @@ from .theorem import (
     largest_feasible_log_x,
     oscillation_scan,
     regime_record,
+    regime_y,
     write_oscillation_csv,
     write_regime_csv,
 )
@@ -84,11 +86,27 @@ def _emit_json(meta: dict, rows: list, fh) -> None:
     fh.write("\n")
 
 
-def _emit_rows(args, meta: dict, rows: list, csv_writer, fh) -> None:
-    if args.format == "json":
+def _csv_cell(v) -> str:
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def _emit(args, meta: dict, rows, fh, *, scalar=None, write_csv=None) -> None:
+    """Write a result in --format.  plain prints scalar if the command has
+    one and is CSV otherwise; CSV is write_csv if given, else the row dicts
+    under a header of their keys, floats .17g and the rest with str.  rows
+    may be a generator, so plain output never builds them."""
+    if args.format == "plain" and scalar is not None:
+        fh.write(f"{scalar!r}\n")
+    elif args.format == "json":
         _emit_json(meta, rows, fh)
+    elif write_csv is not None:
+        write_csv(fh)
     else:
-        csv_writer(fh)
+        rows = iter(rows)
+        first = next(rows)
+        fh.write(",".join(first) + "\n")
+        for row in (first, *rows):
+            fh.write(",".join(map(_csv_cell, row.values())) + "\n")
 
 
 def _table_for(y: float, max_sieve: float):
@@ -105,18 +123,12 @@ def _table_for(y: float, max_sieve: float):
 def _run_primes(args, fh) -> None:
     table = _table_for(float(args.limit), args.max_sieve)
     meta = {"subcommand": "primes", "limit": args.limit, "format": args.format}
-    if args.format == "plain":
-        fh.write(f"{len(table.primes)}\n")
-        return
-    rows = [{"p": p, "log_p": lp}
-            for p, lp in zip(table.primes.tolist(), table.log_primes.tolist())]
 
-    def as_csv(out):
-        out.write("p,log_p\n")
-        for r in rows:
-            out.write(f"{r['p']},{r['log_p']:.17g}\n")
+    def rows():
+        for p, lp in zip(table.primes.tolist(), table.log_primes.tolist()):
+            yield {"p": p, "log_p": lp}
 
-    _emit_rows(args, meta, rows, as_csv, fh)
+    _emit(args, meta, rows(), fh, scalar=len(table.primes))
 
 
 def _run_rho(args, fh) -> None:
@@ -131,33 +143,15 @@ def _run_rho(args, fh) -> None:
     if args.u is None:
         raise DomainError("rho needs --u or --export-grid")
     lr = rho(args.u)
-    value = lr if args.log else math.exp(lr)
     meta = {"subcommand": "rho", "u": args.u, "log": args.log, "format": args.format}
     rows = [{"u": args.u, "log_rho": lr, "rho": math.exp(lr)}]
-
-    def as_csv(out):
-        out.write("u,log_rho,rho\n")
-        out.write(f"{args.u:.17g},{lr:.17g},{math.exp(lr):.17g}\n")
-
-    if args.format == "plain":
-        fh.write(f"{value!r}\n")
-    else:
-        _emit_rows(args, meta, rows, as_csv, fh)
+    _emit(args, meta, rows, fh, scalar=lr if args.log else math.exp(lr))
 
 
 def _run_xi(args, fh) -> None:
     xv = xi(args.u)
     meta = {"subcommand": "xi", "u": args.u, "format": args.format}
-    rows = [asdict(xv)]
-
-    def as_csv(out):
-        out.write("u,xi,residual\n")
-        out.write(f"{xv.u:.17g},{xv.xi:.17g},{xv.residual:.17g}\n")
-
-    if args.format == "plain":
-        fh.write(f"{xv.xi!r}\n")
-    else:
-        _emit_rows(args, meta, rows, as_csv, fh)
+    _emit(args, meta, [asdict(xv)], fh, scalar=xv.xi)
 
 
 def _resolve_x(args) -> tuple:
@@ -177,17 +171,7 @@ def _run_alpha(args, fh) -> None:
     state = solve_alpha(log_x, table, args.y)
     meta = {"subcommand": "alpha", "x_form": form, "log_x": log_x,
             "y": args.y, "format": args.format}
-    rows = [asdict(state)]
-
-    def as_csv(out):
-        out.write("log_x,y,u,c,alpha,beta,solver_residual\n")
-        out.write(f"{state.log_x:.17g},{state.y:.17g},{state.u:.17g},{state.c:.17g},"
-                  f"{state.alpha:.17g},{state.beta:.17g},{state.solver_residual:.17g}\n")
-
-    if args.format == "plain":
-        fh.write(f"{state.alpha!r}\n")
-    else:
-        _emit_rows(args, meta, rows, as_csv, fh)
+    _emit(args, meta, [asdict(state)], fh, scalar=state.alpha)
 
 
 def _run_psi(args, fh) -> None:
@@ -224,32 +208,18 @@ def _run_psi(args, fh) -> None:
     meta = {"subcommand": "psi", "x_form": form, "log_x": log_x, "y": args.y,
             "method": args.method, "max_count": args.max_count,
             "max_sieve": args.max_sieve, "format": args.format}
-    rows = [asdict(r) for r in results]
-
-    def as_csv(out):
-        out.write("log_x,y,count,method,boundary_ambiguous\n")
-        for r in results:
-            out.write(f"{r.log_x:.17g},{r.y:.17g},{r.count},{r.method},"
-                      f"{r.boundary_ambiguous}\n")
-
-    if args.format == "plain":
-        fh.write(f"{counts.pop()}\n")
-    else:
-        _emit_rows(args, meta, rows, as_csv, fh)
+    _emit(args, meta, [asdict(r) for r in results], fh, scalar=counts.pop())
 
 
 def _run_compare(args, fh) -> None:
     log_xs = [(math.log(n), n, form) for n, form in args.x_parsed]
     log_xs += [(lx, None, "log") for lx in (args.log_x or [])]
-    max_y = max((lx ** args.c for lx, _, _ in log_xs), default=0.0)
-
     if not log_xs:
         # no x given: take the largest one the caps admit at this c
         probe = _table_for(min(1e6, args.max_sieve), args.max_sieve)
         lx = largest_feasible_log_x(args.c, probe, max_count=args.max_count)
         log_xs = [(lx, None, "auto")]
-        max_y = lx ** args.c
-
+    max_y = max(regime_y(lx, args.c) for lx, _, _ in log_xs)
     table = _table_for(max(max_y, 3.0), args.max_sieve)
     records = [regime_record(lx, args.c, table, x_exact=n, max_count=args.max_count)
                for lx, n, _ in log_xs]
@@ -257,13 +227,15 @@ def _run_compare(args, fh) -> None:
             "x_forms": [form for _, _, form in log_xs],
             "log_x": [lx for lx, _, _ in log_xs],
             "max_count": args.max_count, "format": args.format}
-    rows = [asdict(r) for r in records]
-    _emit_rows(args, meta, rows, lambda out: write_regime_csv(records, out), fh)
+    _emit(args, meta, [asdict(r) for r in records], fh,
+          write_csv=lambda out: write_regime_csv(records, out))
 
 
 def _run_oscillate(args, fh) -> None:
     if args.y_steps < 1:
         raise DomainError(f"need at least one step, got {args.y_steps}")
+    if not args.y_min > 0.0:
+        raise DomainError(f"need y-min > 0, got {args.y_min}")
     if args.y_max < args.y_min:
         raise DomainError(f"y-max {args.y_max} below y-min {args.y_min}")
     if args.y_steps == 1:
@@ -275,12 +247,11 @@ def _run_oscillate(args, fh) -> None:
               for i in range(args.y_steps - 1)]
         ys.append(args.y_max)
     table = _table_for(args.y_max, args.max_sieve)
-    records = oscillation_scan(args.c, ys, table, jobs=args.jobs)
+    records = oscillation_scan(args.c, ys, table)
     meta = {"subcommand": "oscillate", "c": args.c, "y_min": args.y_min,
-            "y_max": args.y_max, "y_steps": args.y_steps, "jobs": args.jobs,
-            "format": args.format}
-    rows = [asdict(r) for r in records]
-    _emit_rows(args, meta, rows, lambda out: write_oscillation_csv(records, out), fh)
+            "y_max": args.y_max, "y_steps": args.y_steps, "format": args.format}
+    _emit(args, meta, [asdict(r) for r in records], fh,
+          write_csv=lambda out: write_oscillation_csv(records, out))
 
 
 # --- parser and dispatch ------------------------------------------------------------
@@ -346,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y-min", type=_finite, required=True)
     sp.add_argument("--y-max", type=_finite, required=True)
     sp.add_argument("--y-steps", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=1)
     common(sp, default_format="csv")
 
     return p

@@ -5,10 +5,11 @@ rho solves the delay equation u rho'(u) + rho(u-1) = 0 with rho = 1 on
 
     u rho(u) = integral of rho over [u-1, u]
 
-using fixed-order Gauss-Legendre panels and cubic interpolation of stored
-values.  Everything is kept as log rho: rho itself underflows a double
-near u ~ 130 while the regimes of interest reach u ~ 300, so the window
-sum is evaluated relative to the previous node's log value.
+using fixed-order Gauss-Legendre rules on grid cells and cubic
+interpolation of stored values.  Everything is kept as log rho: rho
+itself underflows a double near u ~ 130 while the regimes of interest
+reach u ~ 300, so the window sum is evaluated relative to the previous
+node's log value.
 
 xi(u) is the nonzero root of e^xi = 1 + u*xi, int_exp is
 I(s) = integral of (e^v - 1)/v over [0, s], summed as its everywhere
@@ -212,7 +213,7 @@ def build_rho_grid(u_max: float = 128.0, h: float = 1.0 / 128.0, quadrature_orde
     """March the Dickman delay identity on a uniform grid, storing log rho.
 
     h is snapped to 1/round(1/h) so the one-unit delay window is a whole
-    number of panels.  At each new node the last panel's integrand involves
+    number of grid cells.  At each new node the last cell's integrand involves
     the unknown value through the interpolation stencil, so the node is
     solved by a short fixed-point iteration (contraction factor ~ h/u).
     """

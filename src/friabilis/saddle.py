@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dickman import int_exp, xi, xi_integral
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, RangeError
 from .prime_tables import PrimeTable
 
 _LOG2 = math.log(2.0)
@@ -41,6 +41,9 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
     The sum is strictly decreasing in alpha with range (0, inf), so a unique
     root exists for every log_x > 0. Bracket by doubling/halving from 1,
     bisect to width 1e-3, then polish with Newton kept inside the bracket.
+    The bracket stops at alpha = 1e-18: a log_x so large against y that the
+    root lies below it (log_x = 1e300 at y = 100) is out of the solver's
+    range and raises RangeError.
     """
     log_x = float(log_x)
     y = float(y)
@@ -70,7 +73,7 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
         while g(lo) <= 0.0:
             hi, lo = lo, lo * 0.5
             if lo < 1e-18:
-                raise NumericError("alpha bracket ran away toward zero")
+                raise RangeError(f"alpha(x, y) lies below 1e-18 at log_x={log_x}, y={y}")
 
     while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)

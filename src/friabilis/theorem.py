@@ -11,16 +11,15 @@ asymptotic statements themselves.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dickman import int_exp, rho
+from .dickman import default_grid, int_exp, rho
 from .errors import DomainError, RangeError
 from .prime_tables import PrimeTable
 from .psi_exact import psi_enumerate
-from .saddle import SaddleState, prime_power_sums, solve_alpha
+from .saddle import SaddleState, prime_power_sums, psi_saddle, solve_alpha
 
 REGIMES = ("c_lt_1", "c_eq_1", "c_in_1_2")
 
@@ -41,6 +40,10 @@ class RegimeRecord:
     predicted_gap: float  # regime main term, no O-terms
     regime: str
     flag: str = ""        # "alpha_ge_half": c in (1,2) side condition unmet
+
+    def __post_init__(self):
+        # derived from regime and alpha, so records built or read agree
+        self.flag = "alpha_ge_half" if self.regime == "c_in_1_2" and self.alpha >= 0.5 else ""
 
 
 @dataclass
@@ -82,7 +85,7 @@ def predicted_gap(log_x: float, c: float, state: SaddleState) -> float:
     return 0.5 * state.y ** (1.0 - 2.0 * a) / den
 
 
-def log_x_rho(log_x: float, c: float, grid=None) -> tuple:
+def log_x_rho(log_x: float, c: float) -> tuple:
     """(exact, expansion) for log(x rho(u)) when y = (log x)^c, c in (0,1].
 
     exact comes from the rho grid; expansion keeps the three explicit terms
@@ -97,7 +100,7 @@ def log_x_rho(log_x: float, c: float, grid=None) -> tuple:
         raise DomainError(f"need log_x > 1 so log_2 x exists, got {log_x}")
     l2 = math.log(log_x)
     u = log_x / (c * l2)
-    exact = log_x + rho(u, grid)
+    exact = log_x + rho(u)
     lc = math.log(c)
     expansion = ((c - 1.0) / c * log_x
                  + (1.0 + lc) * log_x / (c * l2)
@@ -131,8 +134,18 @@ def z_cases(log_x: float, c: float) -> float:
     return (1.0 - c) * log_x ** c / c + log_x ** c / (c * l2)
 
 
+def regime_y(log_x: float, c: float) -> float:
+    """y = (log x)^c, for log x > 1 so that u = log x / log y is finite."""
+    if not log_x > 1.0:
+        raise DomainError(f"need log_x > 1, got {log_x}")
+    try:
+        return log_x ** c
+    except OverflowError:
+        raise RangeError(f"(log x)^c overflows a double at log_x={log_x}, c={c}") from None
+
+
 def regime_record(log_x: float, c: float, table: PrimeTable, *,
-                  x_exact=None, grid=None, max_count: float = 10**8,
+                  x_exact=None, max_count: float = 10**8,
                   eps_guard=None) -> RegimeRecord:
     """Evaluate both sides of the regime comparison at one (x, c) point.
 
@@ -142,20 +155,17 @@ def regime_record(log_x: float, c: float, table: PrimeTable, *,
     the caller knows x beyond its logarithm.
     """
     regime = classify_regime(c)
-    y = log_x ** c
+    y = regime_y(log_x, c)
     u = log_x / math.log(y)
     state = solve_alpha(log_x, table, y)
     count = psi_enumerate(log_x, table, y, x_exact=x_exact,
                           max_count=max_count, eps_guard=eps_guard)
     lpsi = math.log(count.count)
-    lxr = log_x + rho(u, grid)
-    flag = ""
-    if regime == "c_in_1_2" and state.alpha >= 0.5:
-        flag = "alpha_ge_half"
+    lxr = log_x + rho(u)
     return RegimeRecord(
         log_x=log_x, c=c, y=y, u=u, alpha=state.alpha,
         log_psi_exact=lpsi, log_x_rho=lxr, measured_gap=lpsi - lxr,
-        predicted_gap=predicted_gap(log_x, c, state), regime=regime, flag=flag,
+        predicted_gap=predicted_gap(log_x, c, state), regime=regime,
     )
 
 
@@ -182,18 +192,13 @@ def oscillation_record(y: float, c: float, table: PrimeTable, *,
                              normalized_diff=diff / normalizer)
 
 
-def oscillation_scan(c: float, y_grid, table: PrimeTable, *, jobs: int = 1) -> list:
-    """OscillationRecords over y_grid, ascending.  jobs > 1 fans the grid
-    points over threads; output order and content stay deterministic."""
-    ys = sorted(float(y) for y in y_grid)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda y: oscillation_record(y, c, table), ys))
-    return [oscillation_record(y, c, table) for y in ys]
+def oscillation_scan(c: float, y_grid, table: PrimeTable) -> list:
+    """OscillationRecords over y_grid in ascending y, one point after another."""
+    return [oscillation_record(y, c, table) for y in sorted(float(y) for y in y_grid)]
 
 
 def largest_feasible_log_x(c: float, table: PrimeTable, *,
-                           max_count: float = 10**8, grid=None) -> float:
+                           max_count: float = 10**8) -> float:
     """Largest log x whose regime record at this c stays within budget.
 
     Feasible means: y = (log x)^c within the prime table, u within the rho
@@ -201,11 +206,8 @@ def largest_feasible_log_x(c: float, table: PrimeTable, *,
     constraints tighten monotonically in log x, so doubling plus bisection
     finds the frontier.  Used by scans when the caller names only c.
     """
-    from .dickman import default_grid
-    from .saddle import psi_saddle
-
     classify_regime(c)
-    u_max = (grid or default_grid()).u_max
+    u_max = default_grid().u_max
     target = math.log(max_count)
 
     def feasible(lx: float) -> bool:
@@ -233,24 +235,7 @@ def largest_feasible_log_x(c: float, table: PrimeTable, *,
     return lo
 
 
-_GL_CACHE = {}
-
-
-def _smooth_integral(y: float, alpha: float, panels: int, order: int) -> float:
-    # int_2^y t^(-alpha)/log t dt over log-spaced panels, Gauss-Legendre each
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    nodes, weights = _GL_CACHE[order]
-    edges = np.exp(np.linspace(math.log(2.0), math.log(y), panels + 1))
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = t ** (-alpha) / np.log(t)
-    return float(math.fsum((half[:, None] * weights[None, :] * vals).ravel()))
-
-
-def q_integral(y: float, alpha: float, table: PrimeTable, *,
-               panels: int = 64, order: int = 16) -> tuple:
+def q_integral(y: float, alpha: float, table: PrimeTable) -> tuple:
     """(q_part, pi_part): prime-power and prime Stieltjes sums at exponent
     -alpha, each minus the smooth part int_2^y t^(-alpha) d li(t).
 
@@ -258,14 +243,17 @@ def q_integral(y: float, alpha: float, table: PrimeTable, *,
     pi_part = sum_{p <= y} p^(-alpha) - smooth
 
     Their difference is exactly the k >= 2 tail, the numeric face of the
-    pi-vs-Q comparison.  panels/order are the quadrature resolution knobs.
+    pi-vs-Q comparison.  With b = 1 - alpha and t = e^v, the smooth part is
+    Ei(b log y) - Ei(b log 2) = log(log y / log 2) + I(b log y) - I(b log 2),
+    by Ei(s) = gamma + log s + I(s); the I terms vanish at alpha = 1.  The
+    identity needs b >= 0, so alpha must lie in (0, 1].
     """
     if not 2.0 <= y:
         raise DomainError(f"need y >= 2, got {y}")
     if y > table.limit:
         raise RangeError(f"y={y} beyond table limit {table.limit}")
-    if alpha <= 0.0:
-        raise DomainError(f"need alpha > 0, got {alpha}")
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"need 0 < alpha <= 1, got {alpha}")
     lp = table.log_primes
     # pad one ulp so p == y stays included despite log rounding
     k_end = int(np.searchsorted(lp, math.log(y) * (1.0 + 1e-15), side="right"))
@@ -278,7 +266,8 @@ def q_integral(y: float, alpha: float, table: PrimeTable, *,
             tail += q ** (-alpha) / k
             q *= p
             k += 1
-    smooth = _smooth_integral(y, alpha, panels, order)
+    log_y, log_2, b = math.log(y), math.log(2.0), 1.0 - alpha
+    smooth = math.log(log_y / log_2) + int_exp(b * log_y) - int_exp(b * log_2)
     return pi_sum + tail - smooth, pi_sum - smooth
 
 
@@ -296,22 +285,29 @@ def write_regime_csv(records, fh) -> None:
                  f"{r.predicted_gap:.17g},{r.regime}\n")
 
 
-def read_regime_csv(fh) -> list:
-    header = fh.readline().strip()
-    if header != REGIME_HEADER:
-        raise DomainError(f"unexpected regime header: {header!r}")
-    out = []
-    for line in fh:
+def _csv_rows(fh, header: str, n_float: int):
+    # (first n_float fields as floats, the rest as text) per non-blank row;
+    # a bad header, row width or number raises DomainError naming the line
+    got = fh.readline().strip()
+    if got != header:
+        raise DomainError(f"unexpected header: {got!r}")
+    width = header.count(",") + 1
+    for n, line in enumerate(fh, start=2):
         parts = line.strip().split(",")
-        if not parts or parts == [""]:
+        if parts == [""]:
             continue
-        vals = [float(v) for v in parts[:9]]
-        regime = parts[9]
-        flag = ""
-        if regime == "c_in_1_2" and vals[4] >= 0.5:
-            flag = "alpha_ge_half"
-        out.append(RegimeRecord(*vals, regime=regime, flag=flag))
-    return out
+        if len(parts) != width:
+            raise DomainError(f"line {n}: {len(parts)} fields, expected {width}")
+        try:
+            vals = [float(v) for v in parts[:n_float]]
+        except ValueError:
+            raise DomainError(f"line {n}: not a number in {line.strip()!r}") from None
+        yield vals, parts[n_float:]
+
+
+def read_regime_csv(fh) -> list:
+    return [RegimeRecord(*vals, regime=regime)
+            for vals, (regime,) in _csv_rows(fh, REGIME_HEADER, 9)]
 
 
 def write_oscillation_csv(records, fh) -> None:
@@ -322,13 +318,4 @@ def write_oscillation_csv(records, fh) -> None:
 
 
 def read_oscillation_csv(fh) -> list:
-    header = fh.readline().strip()
-    if header != OSCILLATION_HEADER:
-        raise DomainError(f"unexpected oscillation header: {header!r}")
-    out = []
-    for line in fh:
-        parts = line.strip().split(",")
-        if not parts or parts == [""]:
-            continue
-        out.append(OscillationRecord(*[float(v) for v in parts]))
-    return out
+    return [OscillationRecord(*vals) for vals, _ in _csv_rows(fh, OSCILLATION_HEADER, 7)]

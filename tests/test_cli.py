@@ -115,7 +115,8 @@ def test_compare_repeated_x(tmp_path):
     proc = run_proc(["compare", "--c", "0.7", "--x", "1e8", "--x", "1e10",
                      "--output", str(out)])
     assert proc.returncode == 0
-    records = read_regime_csv(open(out))
+    with open(out) as fh:
+        records = read_regime_csv(fh)
     assert [round(r.log_x, 6) for r in records] == [
         round(math.log(1e8), 6), round(math.log(1e10), 6)]
     assert all(r.regime == "c_lt_1" for r in records)
@@ -153,13 +154,62 @@ def test_determinism_byte_identical():
         assert a.stdout == b.stdout
 
 
-def test_parallel_matches_serial(tmp_path):
-    ser, par = tmp_path / "ser.csv", tmp_path / "par.csv"
+def test_oscillate_output_file_repeatable(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     base = ["oscillate", "--c", "1.5", "--y-min", "1e3", "--y-max", "1e5",
             "--y-steps", "5"]
-    assert run_proc(base + ["--output", str(ser)]).returncode == 0
-    assert run_proc(base + ["--jobs", "4", "--output", str(par)]).returncode == 0
-    assert ser.read_bytes() == par.read_bytes()
+    assert run_proc(base + ["--output", str(first)]).returncode == 0
+    assert run_proc(base + ["--output", str(second)]).returncode == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+# --format csv bytes, captured before the row writers were folded into one
+CSV_PINS = [
+    (["rho", "--u", "20"],
+     "u,log_rho,rho\n20,-65.874081881281356,2.4617828311021031e-29\n"),
+    (["rho", "--u", "0.5"], "u,log_rho,rho\n0.5,0,1\n"),
+    (["alpha", "--x", "1e10", "--y", "1000"],
+     "log_x,y,u,c,alpha,beta,solver_residual\n"
+     "23.025850929940457,1000,3.3333333333333335,2.2022944126154975,"
+     "0.70009332238778943,0.70112313347006638,7.1054273576010019e-15\n"),
+    (["alpha", "--log-x", "0.9", "--y", "2"],
+     "log_x,y,u,c,alpha,beta,solver_residual\n"
+     "0.90000000000000002,2,1.2984255368000672,nan,0.82388264772537323,"
+     "0.27663488658871871,-1.1102230246251565e-16\n"),
+    (["psi", "--x", "1e6", "--y", "100", "--method", "all"],
+     "log_x,y,count,method,boundary_ambiguous\n"
+     "13.815510557964274,100,72271,enumerate,1\n"
+     "13.815510557964274,100,72271,sieve,0\n"
+     "13.815510557964274,100,72271,buchstab,0\n"),
+    (["psi", "--log-x", "100", "--y", "10"],
+     "log_x,y,count,method,boundary_ambiguous\n100,10,1940846,enumerate,0\n"),
+]
+
+
+@pytest.mark.parametrize("argv,want", CSV_PINS, ids=["_".join(a) for a, _ in CSV_PINS])
+def test_csv_bytes_pinned(argv, want, capsys):
+    assert run_cli(argv + ["--format", "csv"], capsys) == (0, want)
+
+
+BAD_INPUTS = [
+    (["compare", "--c", "0.7", "--x", "1"], 3),
+    (["compare", "--c", "1.5", "--log-x", "0"], 3),
+    (["compare", "--c", "0.7", "--log-x", "-3"], 3),
+    (["compare", "--c", "1.5", "--log-x", "1e300"], 3),   # (log x)^c overflows
+    (["compare", "--c", "1.5", "--log-x", "1e200"], 4),   # beyond --max-sieve
+    (["oscillate", "--c", "1.5", "--y-min", "0", "--y-max", "1e3", "--y-steps", "3"], 3),
+    (["oscillate", "--c", "1.5", "--y-min", "-5", "--y-max", "1e3", "--y-steps", "3"], 3),
+    (["alpha", "--log-x", "1e300", "--y", "100"], 3),     # alpha below the solver floor
+]
+
+
+@pytest.mark.parametrize("argv,code", BAD_INPUTS, ids=["_".join(a) for a, _ in BAD_INPUTS])
+def test_bad_input_typed_exit(argv, code):
+    proc = run_proc(argv)
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert b"Traceback" not in proc.stderr
 
 
 def test_rho_grid_export(tmp_path):

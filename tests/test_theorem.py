@@ -3,6 +3,8 @@
 import io
 import math
 
+import mpmath
+import numpy as np
 import pytest
 import scipy.integrate
 
@@ -206,7 +208,7 @@ def test_oscillation_domain(table):
 def test_oscillation_scan_deterministic(table):
     serial = th.oscillation_scan(1.5, [1e4, 1e2, 1e3], table)
     assert [r.y for r in serial] == [1e2, 1e3, 1e4]
-    assert th.oscillation_scan(1.5, [1e2, 1e3, 1e4], table, jobs=3) == serial
+    assert th.oscillation_scan(1.5, [1e2, 1e3, 1e4], table) == serial
 
 
 def test_oscillation_csv_roundtrip(table):
@@ -231,6 +233,35 @@ def test_regime_csv_roundtrip(table):
     assert back[1].flag == "alpha_ge_half"
 
 
+def _regime_text(table):
+    buf = io.StringIO()
+    th.write_regime_csv([th.regime_record(math.log(1e9), 1.0, table, x_exact=10**9)], buf)
+    return buf.getvalue()
+
+
+def test_regime_csv_short_row_names_line(table):
+    header, row = _regime_text(table).splitlines()
+    short = row.rsplit(",", 1)[0]
+    with pytest.raises(DomainError, match="line 3"):
+        th.read_regime_csv(io.StringIO(f"{header}\n{row}\n{short}\n"))
+
+
+def test_regime_csv_non_number_names_line(table):
+    header, row = _regime_text(table).splitlines()
+    bad = "abc" + row[row.index(","):]
+    with pytest.raises(DomainError, match="line 2"):
+        th.read_regime_csv(io.StringIO(f"{header}\n{bad}\n"))
+
+
+def test_oscillation_csv_short_row_names_line(table):
+    buf = io.StringIO()
+    th.write_oscillation_csv(th.oscillation_scan(1.5, [1e3], table), buf)
+    header, row = buf.getvalue().splitlines()
+    short = row.rsplit(",", 2)[0]
+    with pytest.raises(DomainError, match="line 4"):
+        th.read_oscillation_csv(io.StringIO(f"{header}\n{row}\n\n{short}\n"))
+
+
 def test_q_integral_hand_values(table):
     # y=3: no prime power above first order fits, so both parts coincide
     q, pi = th.q_integral(3.0, 0.4, table)
@@ -249,11 +280,19 @@ def test_q_integral_power_tail(table):
     assert q - pi == pytest.approx(hand, rel=1e-12)
 
 
-def test_q_integral_refinement_stable(table):
-    q1, p1 = th.q_integral(1e6, 0.3, table)
-    q2, p2 = th.q_integral(1e6, 0.3, table, panels=128, order=32)
-    assert abs(q2 - q1) <= 1e-6 * abs(q1)
-    assert abs(p2 - p1) <= 1e-6 * abs(p1)
+def test_q_integral_smooth_part_against_mpmath(table):
+    # pi_part = sum_{p <= y} p^-a - smooth: rebuild the prime sum as q_integral
+    # sums it, recover the smooth part, and check it against a 30-digit
+    # quadrature of int_{log 2}^{log y} e^((1-a) v)/v dv (t = e^v)
+    with mpmath.workdps(30):
+        for y in (3.0, 1e3, 1e6):
+            lp = table.log_primes[:table.pi(y)]
+            for a in (0.2, 0.5, 0.9, 1.0):
+                q, pi = th.q_integral(y, a, table)
+                smooth = math.fsum(np.exp(-a * lp)) - pi
+                want = mpmath.quad(lambda v: mpmath.exp((1 - mpmath.mpf(a)) * v) / v,
+                                   [mpmath.log(2), mpmath.log(y)])
+                assert smooth == pytest.approx(float(want), rel=1e-13), (y, a)
 
 
 def test_q_integral_gap_profile(table):
@@ -275,3 +314,5 @@ def test_q_integral_domain(table):
         th.q_integral(2e6, 0.3, table)
     with pytest.raises(DomainError):
         th.q_integral(100.0, 0.0, table)
+    with pytest.raises(DomainError):
+        th.q_integral(100.0, 1.5, table)
