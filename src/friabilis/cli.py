@@ -113,7 +113,7 @@ def _table_for(y: float, max_sieve: float):
     limit = int(math.ceil(y))
     if limit > max_sieve:
         raise ResourceError(
-            f"prime table to {limit} exceeds --max-sieve {max_sieve:.3g}")
+            f"prime table to {limit:.3g} exceeds --max-sieve {max_sieve:.3g}")
     return sieve_primes(limit)
 
 

@@ -1,15 +1,12 @@
 """Dickman's rho and the xi apparatus.
 
 rho solves the delay equation u rho'(u) + rho(u-1) = 0 with rho = 1 on
-[0,1].  The grid marches the equivalent integral identity
-
-    u rho(u) = integral of rho over [u-1, u]
-
-using fixed-order Gauss-Legendre rules on grid cells and cubic
-interpolation of stored values.  Everything is kept as log rho: rho
-itself underflows a double near u ~ 130 while the regimes of interest
-reach u ~ 300, so the window sum is evaluated relative to the previous
-node's log value.
+[0,1] and rho = 1 - log u on [1,2].  On each later unit interval [k-1, k]
+it is a power series in k - u whose coefficients follow from the previous
+interval's by a recurrence of positive terms (Marsaglia, Zaman &
+Marsaglia 1989; Bach & Peralta 1996).  Everything is kept as log rho, with
+one log scale per interval: rho itself underflows a double near u ~ 130
+while build_rho_grid tabulates up to u = 500.
 
 xi(u) is the nonzero root of e^xi = 1 + u*xi, int_exp is
 I(s) = integral of (e^v - 1)/v over [0, s], summed as its everywhere
@@ -24,15 +21,15 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NumericError, RangeError
 
 EULER_GAMMA = 0.57721566490153286060651209008
 
-_MAX_U = 500.0
 # I(s) ~ e^s / s; e^s itself overflows a double beyond this
 _MAX_S = math.log(sys.float_info.max)
+# beyond this u the root of e^xi = 1 + u*xi passes log(DBL_MAX)
+_MAX_XI_U = math.expm1(_MAX_S) / _MAX_S
 
 
 # --- xi ----------------------------------------------------------------------
@@ -49,16 +46,19 @@ def xi(u) -> XiValue:
     """Nonzero root of e^xi = 1 + u*xi for u >= 1 (xi(1) = 0).
 
     Safeguarded Newton.  Seeds: log u + log log u for u >= e, else 2(u-1);
-    the bracket (log u, 2(u-1)) always contains the root, so a Newton step
-    that leaves it falls back to bisection.
+    the bracket (log u, min(2(u-1), log DBL_MAX)) always contains the root,
+    so a Newton step that leaves it falls back to bisection.  Past
+    u ~ 2.53e305 the root lies beyond log DBL_MAX, and that is a RangeError.
     """
     u = float(u)
     if u < 1.0:
         raise DomainError(f"xi defined for u >= 1, got {u}")
     if u == 1.0:
         return XiValue(1.0, 0.0, 0.0)
+    if u > _MAX_XI_U:
+        raise RangeError(f"xi needs u <= {_MAX_XI_U:.4g} (e^xi overflows), got u={u}")
     lo = math.log(u)  # g < 0 here
-    hi = 2.0 * (u - 1.0)  # g > 0 here
+    hi = min(2.0 * (u - 1.0), _MAX_S)  # g > 0 here
     if u >= math.e:
         x = math.log(u) + math.log(math.log(u))
     else:
@@ -157,7 +157,7 @@ def rho_asymptotic(u) -> float:
     The prefactor sqrt(xi'(u)/(2 pi)) matters: u xi'(u) -> 1, so replacing it
     with 1/sqrt(2 pi u) is asymptotically harmless but the ratio then drifts
     like 1/log u and is still 9% off at u = 50.  With xi' kept, the relative
-    error decays like 1/u (about 0.7/u measured on the grid).
+    error decays like 1/u (about 0.7/u measured against the series).
     """
     u = float(u)
     if u < 2.0:
@@ -167,29 +167,41 @@ def rho_asymptotic(u) -> float:
     return EULER_GAMMA - u * xv.xi + xi_integral(u) + 0.5 * math.log(xp / (2.0 * math.pi))
 
 
-# --- the rho grid ----------------------------------------------------------------
+# --- rho ---------------------------------------------------------------------------
 
 
-@dataclass
-class RhoGrid:
-    u_max: float
-    h: float
-    log_rho: np.ndarray  # node i holds log rho(i*h)
-    quadrature_order: int
+RHO_U_MAX = 128.0  # rho(u) answers up to here; rho(128) ~ 1e-310, near the double floor
+_MAX_U = 500.0  # build_rho_grid tabulates up to here
+_TERMS = 60  # per unit interval; the tail falls like 2^-i (singularity at z = 2)
+
+# interval k covers [k-1, k]: rho(u) = exp(_log_scale[k-2]) * sum_i _coef[k-2][i] (k-u)^i,
+# with _coef[k-2][0] = 1, so _log_scale[k-2] = log rho(k); extended on demand
+_coef: list = []
+_log_scale: list = []
 
 
-def _lagrange_row(tau: float) -> tuple:
-    """Cubic Lagrange weights at local coordinate tau over nodes {0,1,2,3}."""
-    t0 = tau
-    t1 = tau - 1.0
-    t2 = tau - 2.0
-    t3 = tau - 3.0
-    return (
-        -t1 * t2 * t3 / 6.0,
-        t0 * t2 * t3 / 2.0,
-        -t0 * t1 * t3 / 2.0,
-        t0 * t1 * t2 / 6.0,
-    )
+def _extend_series(k_max: int) -> None:
+    """Build the series of every interval up to [k_max-1, k_max].
+
+    On [1, 2], 1 - log u = 1 - log 2 + sum_{i>=1} (z/2)^i / i with z = 2 - u.
+    From coefficients c on [k-1, k], u rho'(u) = -rho(u-1) gives those on
+    [k, k+1]: d_1 = c_0/(k+1), d_{j+1} = (c_j + j d_j)/((k+1)(j+1)), and
+    (k+1) rho(k+1) = integral of rho over [k, k+1] gives
+    d_0 = sum_{i>=1} d_i/((i+1) k).  Every term is positive, so nothing
+    cancels (Marsaglia, Zaman & Marsaglia 1989).
+    """
+    if not _coef:
+        c = [1.0 - math.log(2.0)] + [1.0 / (i * 2.0 ** i) for i in range(1, _TERMS)]
+        _log_scale.append(math.log(c[0]))
+        _coef.append([v / c[0] for v in c])
+    for k in range(len(_coef) + 1, k_max):
+        c = _coef[-1]
+        d = [0.0, c[0] / (k + 1)]
+        for j in range(1, _TERMS - 1):
+            d.append((c[j] + j * d[j]) / ((k + 1) * (j + 1)))
+        d0 = math.fsum(d[i] / ((i + 1) * k) for i in range(1, _TERMS))
+        _log_scale.append(_log_scale[-1] + math.log(d0))
+        _coef.append([1.0] + [v / d0 for v in d[1:]])
 
 
 def _closed_log_rho(u: float) -> float:
@@ -199,79 +211,55 @@ def _closed_log_rho(u: float) -> float:
     return math.log1p(-math.log(u))
 
 
-def _panel_closed(a: float, b: float) -> float:
-    """Exact integral of rho over [a, b] when b <= 2 (closed-form region)."""
-    def F(t):
-        if t <= 1.0:
-            return t
-        # antiderivative of 1 - log t, shifted to match F(1) = 1
-        return 2.0 * t - t * math.log(t) - 1.0
-    return F(b) - F(a)
+def rho(u) -> float:
+    """log rho(u).  Closed form on [0, 2], the unit interval's series beyond."""
+    u = float(u)
+    if not u >= 0.0:
+        raise DomainError(f"rho needs u >= 0, got {u}")
+    if u <= 2.0:
+        return _closed_log_rho(u)
+    if u > RHO_U_MAX * (1.0 + 1e-12):
+        raise RangeError(f"rho covers u <= {RHO_U_MAX:g}, got u={u}")
+    k = math.ceil(u)
+    _extend_series(k)
+    z = k - u
+    acc = 0.0
+    for c in reversed(_coef[k - 2]):
+        acc = acc * z + c
+    return _log_scale[k - 2] + math.log(acc)
 
 
-def build_rho_grid(u_max: float = 128.0, h: float = 1.0 / 128.0, quadrature_order: int = 4) -> RhoGrid:
-    """March the Dickman delay identity on a uniform grid, storing log rho.
+@dataclass
+class RhoGrid:
+    u_max: float
+    h: float
+    log_rho: np.ndarray  # node i holds log rho(i*h)
 
-    h is snapped to 1/round(1/h) so the one-unit delay window is a whole
-    number of grid cells.  At each new node the last cell's integrand involves
-    the unknown value through the interpolation stencil, so the node is
-    solved by a short fixed-point iteration (contraction factor ~ h/u).
+
+def build_rho_grid(u_max: float = 128.0) -> RhoGrid:
+    """Tabulate log rho at the nodes i/128 up to u_max (at most 500).
+
+    Past u = 2 every unit interval holds its nodes at the same offsets
+    z = k - u, so one Horner pass over an intervals x nodes-per-interval
+    array evaluates them all.
     """
     if not (2.0 <= u_max <= _MAX_U):
         raise DomainError(f"u_max must lie in [2, {_MAX_U}], got {u_max}")
-    if not (1e-4 <= h <= 0.1):
-        raise DomainError(f"h must lie in [1e-4, 0.1], got {h}")
-    if not (2 <= quadrature_order <= 16):
-        raise DomainError(f"quadrature_order must lie in [2, 16], got {quadrature_order}")
-    m = int(round(1.0 / h))
-    h = 1.0 / m
+    m = 128
     n = int(math.ceil(u_max * m - 1e-9))
-    u_max = n * h
-
     lr = np.zeros(n + 1)
-    for i in range(m + 1, min(2 * m, n) + 1):
-        lr[i] = _closed_log_rho(i * h)
-
-    # panel integrals (as logs); panel j covers [(j-1)h, jh]
-    p_log = np.full(n + 1, -np.inf)
-    for j in range(1, min(2 * m, n) + 1):
-        p_log[j] = math.log(_panel_closed((j - 1) * h, j * h))
-
-    if n <= 2 * m:
-        return RhoGrid(u_max=u_max, h=h, log_rho=lr, quadrature_order=quadrature_order)
-
-    gx, gw = leggauss(quadrature_order)
-    # last-panel Gauss nodes sit at local coordinate 2..3 of the stencil
-    # (i-3, i-2, i-1, i); Lagrange weights are constant across nodes.
-    taus = 2.0 + 0.5 * (gx + 1.0)
-    wrows = [_lagrange_row(t) for t in taus]
-    gw_h = [0.5 * h * w for w in gw]
-
-    for i in range(2 * m + 1, n + 1):
-        u_i = i * h
-        ref = float(lr[i - 1])
-        s_known = float(np.exp(p_log[i - m + 1 : i] - ref).sum())
-        a0 = float(lr[i - 3])
-        a1 = float(lr[i - 2])
-        a2 = ref
-        guess = 2.0 * a2 - a1  # linear extrapolation in log space
-        p_rel = 0.0
-        for _ in range(80):
-            p_rel = 0.0
-            for (w0, w1, w2, w3), gwk in zip(wrows, gw_h):
-                val = w0 * a0 + w1 * a1 + w2 * a2 + w3 * guess
-                p_rel += gwk * math.exp(val - ref)
-            new = ref + math.log((s_known + p_rel) / u_i)
-            if abs(new - guess) <= 1e-14 * max(1.0, abs(new)):
-                guess = new
-                break
-            guess = new
-        else:
-            raise NumericError(f"rho marching stalled at u = {u_i}")
-        lr[i] = guess
-        p_log[i] = ref + math.log(p_rel)
-
-    return RhoGrid(u_max=u_max, h=h, log_rho=lr, quadrature_order=quadrature_order)
+    lr[m + 1 : 2 * m + 1] = [_closed_log_rho(i / m) for i in range(m + 1, 2 * m + 1)]
+    k_max = -(-n // m)
+    if k_max > 2:
+        _extend_series(k_max)
+        coef = np.array(_coef[1 : k_max - 1])  # intervals 3 .. k_max
+        z = (m - np.arange(1, m + 1)) / m  # nodes (k-1) + j/m, j = 1 .. m
+        acc = np.repeat(coef[:, -1:], m, axis=1)
+        for i in range(_TERMS - 2, -1, -1):
+            acc = acc * z + coef[:, i : i + 1]
+        acc = np.log(acc) + np.array(_log_scale[1 : k_max - 1])[:, None]
+        lr[2 * m + 1 :] = acc.ravel()[: n - 2 * m]
+    return RhoGrid(u_max=n / m, h=1.0 / m, log_rho=lr)
 
 
 _DEFAULT_GRID = None
@@ -283,27 +271,6 @@ def default_grid() -> RhoGrid:
     if _DEFAULT_GRID is None:
         _DEFAULT_GRID = build_rho_grid()
     return _DEFAULT_GRID
-
-
-def rho(u, grid: RhoGrid | None = None) -> float:
-    """log rho(u).  Exact branches on [0, 2], cubic grid interpolation beyond."""
-    u = float(u)
-    if u < 0:
-        raise DomainError(f"rho needs u >= 0, got {u}")
-    if u <= 2.0:
-        return _closed_log_rho(u)
-    if grid is None:
-        grid = default_grid()
-    if u > grid.u_max * (1.0 + 1e-12):
-        raise RangeError(f"u={u} beyond grid u_max {grid.u_max}")
-    n = len(grid.log_rho) - 1
-    pos = u / grid.h
-    j0 = int(pos) - 1
-    j0 = min(max(j0, 0), n - 3)
-    tau = pos - j0
-    w = _lagrange_row(tau)
-    lrv = grid.log_rho
-    return float(w[0] * lrv[j0] + w[1] * lrv[j0 + 1] + w[2] * lrv[j0 + 2] + w[3] * lrv[j0 + 3])
 
 
 def export_grid_csv(grid: RhoGrid, fh) -> None:

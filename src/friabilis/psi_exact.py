@@ -33,6 +33,14 @@ def _preflight(log_x: float, table: PrimeTable, y: float, max_count: float,
                log_primes: np.ndarray) -> None:
     if not max_count > 0:
         raise DomainError(f"max_count must be positive, got {max_count}")
+    # proven from below and needing no saddle: the powers of 2 up to x are
+    # y-friable, and there are floor(log x / log 2) + 1 of them
+    low = float(np.floor(log_x / math.log(2.0) - 1e-9 * (1.0 + log_x))) + 1.0
+    if low > max_count:
+        raise ResourceError(
+            f"the {low:.3g} powers of 2 up to x alone exceed the cap {max_count:.3g}",
+            estimate=low,
+        )
     # saddle estimate where it is defined; plain x as the bound when u < 2
     u = log_x / math.log(y)
     est_log = psi_saddle(log_x, table, y) if u >= 2.0 else log_x

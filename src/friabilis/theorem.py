@@ -3,7 +3,7 @@
 With y = (log x)^c the ratio Psi/(x rho(u)) behaves differently for
 c in (1,2), c = 1, and c in (0,1).  This module evaluates both sides
 numerically: the measured gap log Psi - log(x rho(u)) from exact counts
-and the rho grid, the predicted main term per regime, the two-term and
+and Dickman's rho, the predicted main term per regime, the two-term and
 three-term expansions of log(x rho(u)) and log Psi, and the oscillation
 quantity S(alpha,y) - I((1-alpha) log y) with its prime-power integral
 counterparts.  Everything here reports numbers; nothing asserts the
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dickman import default_grid, int_exp, rho
+from .dickman import RHO_U_MAX, int_exp, rho
 from .errors import DomainError, RangeError
 from .prime_tables import PrimeTable
 from .psi_exact import psi_enumerate
@@ -35,7 +35,7 @@ class RegimeRecord:
     u: float
     alpha: float
     log_psi_exact: float
-    log_x_rho: float      # log x + log rho(u), from the grid
+    log_x_rho: float      # log x + log rho(u)
     measured_gap: float   # log_psi_exact - log_x_rho
     predicted_gap: float  # regime main term, no O-terms
     regime: str
@@ -88,7 +88,7 @@ def predicted_gap(log_x: float, c: float, state: SaddleState) -> float:
 def log_x_rho(log_x: float, c: float) -> tuple:
     """(exact, expansion) for log(x rho(u)) when y = (log x)^c, c in (0,1].
 
-    exact comes from the rho grid; expansion keeps the three explicit terms
+    exact comes from dickman.rho; expansion keeps the three explicit terms
 
         (c-1)/c log x + (1+log c) log x/(c log_2 x) + (1-log c) log x/(c (log_2 x)^2)
 
@@ -149,7 +149,7 @@ def regime_record(log_x: float, c: float, table: PrimeTable, *,
                   eps_guard=None) -> RegimeRecord:
     """Evaluate both sides of the regime comparison at one (x, c) point.
 
-    measured_gap uses only the exact count and the rho grid; predicted_gap
+    measured_gap uses only the exact count and dickman.rho; predicted_gap
     uses only closed forms and the saddle state, so the two sides stay
     independent.  x_exact (an int) resolves guard-band points exactly when
     the caller knows x beyond its logarithm.
@@ -201,13 +201,12 @@ def largest_feasible_log_x(c: float, table: PrimeTable, *,
                            max_count: float = 10**8) -> float:
     """Largest log x whose regime record at this c stays within budget.
 
-    Feasible means: y = (log x)^c within the prime table, u within the rho
-    grid, and the saddle estimate of Psi at most max_count.  All three
+    Feasible means: y = (log x)^c within the prime table, u within the range
+    of dickman.rho, and the saddle estimate of Psi at most max_count.  All three
     constraints tighten monotonically in log x, so doubling plus bisection
     finds the frontier.  Used by scans when the caller names only c.
     """
     classify_regime(c)
-    u_max = default_grid().u_max
     target = math.log(max_count)
 
     def feasible(lx: float) -> bool:
@@ -215,7 +214,7 @@ def largest_feasible_log_x(c: float, table: PrimeTable, *,
         if y > table.limit or y < 2.0:
             return False
         u = lx / math.log(y)
-        if u > u_max:
+        if u > RHO_U_MAX:
             return False
         return psi_saddle(lx, table, y) <= target
 

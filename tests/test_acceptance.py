@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from friabilis.dickman import build_rho_grid, default_grid, rho, rho_asymptotic, xi
+from friabilis.dickman import rho, rho_asymptotic, xi
 from friabilis.prime_tables import sieve_primes
 from friabilis.psi_exact import psi_buchstab, psi_enumerate, psi_sieve
 from friabilis.saddle import (
@@ -32,6 +32,7 @@ from friabilis.saddle import (
     w_sigma,
 )
 from friabilis.theorem import oscillation_record, q_integral, regime_record
+from rho_march import march_grid
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +66,14 @@ def test_criterion_01_exact_count_cross_validation(table6):
 
 def test_criterion_02_dickman_closed_forms():
     t0 = time.monotonic()
-    g = default_grid()
     worst = 0.0
     for k in range(0, 2001):
         u = k / 1000.0
         want = 1.0 if u <= 1.0 else 1.0 - math.log(u)
-        worst = max(worst, abs(math.exp(rho(u, g)) - want))
+        worst = max(worst, abs(math.exp(rho(u)) - want))
 
-    # residual of the DDE u rho'(u) + rho(u-1) = 0 drops ~4x per h halving
+    # residual of the DDE u rho'(u) + rho(u-1) = 0 on the grid march (the
+    # test oracle for the series) drops ~4x per h halving
     def median_residual(grid):
         m = round(1.0 / grid.h)
         lr = grid.log_rho
@@ -83,8 +84,8 @@ def test_criterion_02_dickman_closed_forms():
             res.append(abs(u * rp + math.exp(lr[i - m])) / math.exp(lr[i - m]))
         return float(np.median(res))
 
-    r64 = median_residual(build_rho_grid(10.0, 1.0 / 64, quadrature_order=4))
-    r128 = median_residual(build_rho_grid(10.0, 1.0 / 128, quadrature_order=4))
+    r64 = median_residual(march_grid(10.0, 1.0 / 64, quadrature_order=4))
+    r128 = median_residual(march_grid(10.0, 1.0 / 128, quadrature_order=4))
     shrink = r64 / r128
     dt = time.monotonic() - t0
     ok = worst <= 1e-12 and 3.5 < shrink < 4.5 and dt < 10.0
@@ -94,8 +95,7 @@ def test_criterion_02_dickman_closed_forms():
 
 
 def test_criterion_03_rho_asymptotic_band():
-    g = default_grid()
-    err = {u: abs(math.exp(rho_asymptotic(u) - rho(u, g)) - 1.0)
+    err = {u: abs(math.exp(rho_asymptotic(u) - rho(u)) - 1.0)
            for u in (10.0, 20.0, 40.0, 50.0, 80.0)}
     seq = [err[u] for u in (10.0, 20.0, 40.0, 80.0)]
     ok = (err[20.0] <= 0.10 and err[50.0] <= 0.03

@@ -1,18 +1,22 @@
-"""Dickman rho grid, xi solver, and the saddle-side integrals.
+"""Dickman rho series and grid, xi solver, and the saddle-side integrals.
 
 Oracles: bisection for xi (independent of the Newton path), a compensated
 series for I(s), scipy quadrature for the Stieltjes form of xi_integral,
-and dual-resolution marching for rho itself.
+and for rho the dilogarithm closed form on [2, 3] (mpmath), quadrature of
+the integral identity, and a fixed-point grid march (rho_march.py).
 """
 
 import io
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from friabilis.dickman import (
+    RHO_U_MAX,
     build_rho_grid,
     default_grid,
     export_grid_csv,
@@ -25,14 +29,15 @@ from friabilis.dickman import (
     xi_prime,
 )
 from friabilis.errors import DomainError, RangeError
+from rho_march import march_grid, march_rho
 
 
 def bisect_xi(u):
     # pure bisection on g(x) = expm1(x) - u*x; g < 0 on (0, xi), g > 0 beyond.
-    # xi(u) < 710 for any representable u, so doubling from 1 cannot overflow.
+    # hi stops at log(DBL_MAX), where g > 0 for every u that xi accepts
     lo, hi = 1e-12, 1.0
     while math.expm1(hi) - u * hi <= 0.0:
-        hi *= 2.0
+        hi = min(2.0 * hi, math.log(sys.float_info.max))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if math.expm1(mid) - u * mid <= 0.0:
@@ -67,22 +72,41 @@ def grid():
 
 
 @pytest.fixture(scope="module")
+def march():
+    return march_grid()
+
+
+@pytest.fixture(scope="module")
 def fine():
-    return build_rho_grid(64.0, 1.0 / 400, quadrature_order=8)
+    return march_grid(64.0, 1.0 / 400, quadrature_order=8)
 
 
 # --- closed forms and grid invariants ---------------------------------------------
 
 
-def test_rho_is_one_below_u_equals_one(grid):
+def test_rho_is_one_below_u_equals_one():
     for u in (0.0, 0.25, 0.5, 0.999, 1.0):
-        assert rho(u, grid) == 0.0
+        assert rho(u) == 0.0
 
 
-def test_rho_closed_form_on_1_2(grid):
+def test_rho_closed_form_on_1_2():
     for u in (1.0 + 1e-9, 1.25, 1.5, 1.999, 2.0):
-        assert rho(u, grid) == pytest.approx(math.log1p(-math.log(u)), abs=1e-12)
-    assert math.exp(rho(1.5, grid)) == pytest.approx(0.594535, abs=1e-6)
+        assert rho(u) == pytest.approx(math.log1p(-math.log(u)), abs=1e-12)
+    assert math.exp(rho(1.5)) == pytest.approx(0.594535, abs=1e-6)
+
+
+def test_rho_dilogarithm_on_2_3():
+    # rho(u) = 1 - (1 - log(u-1)) log u + Li2(1-u) + pi^2/12 on [2, 3], at 40 digits
+    @mpmath.workdps(40)
+    def exact(u):
+        u = mpmath.mpf(u)
+        return (1 - (1 - mpmath.log(u - 1)) * mpmath.log(u)
+                + mpmath.polylog(2, 1 - u) + mpmath.pi ** 2 / 12)
+
+    us = [2.0 + 1e-9, 2.003, 2.5, 3.0] + list(np.linspace(2.0, 3.0, 201)[1:])
+    for u in us:
+        assert math.exp(rho(u)) == pytest.approx(float(exact(u)), rel=1e-14, abs=0)
+    assert math.exp(rho(2.003)) == pytest.approx(0.30535619, abs=5e-9)
 
 
 def test_grid_node_invariants(grid):
@@ -109,23 +133,41 @@ def test_log_concave_ratio_decay(grid):
 
 
 def test_rho3_dual_marching_schemes():
-    ga = build_rho_grid(4.0, 1.0 / 192, quadrature_order=6)
-    gb = build_rho_grid(4.0, 1.0 / 400, quadrature_order=8)
-    ra, rb = math.exp(rho(3.0, ga)), math.exp(rho(3.0, gb))
+    ga = march_grid(4.0, 1.0 / 192, quadrature_order=6)
+    gb = march_grid(4.0, 1.0 / 400, quadrature_order=8)
+    ra, rb = math.exp(march_rho(3.0, ga)), math.exp(march_rho(3.0, gb))
     assert ra == pytest.approx(rb, rel=1e-9)
     assert rb == pytest.approx(0.0486084, abs=5e-8)
     assert rb == pytest.approx(0.04860838829246, rel=1e-10)
 
 
-def test_rho10_against_fine_grid(grid, fine):
-    v = math.exp(rho(10.0, grid))
+def test_rho10_against_fine_grid(march, fine):
+    v = math.exp(march_rho(10.0, march))
     assert v == pytest.approx(2.7701718377541e-11, rel=3e-9)
-    assert v == pytest.approx(math.exp(rho(10.0, fine)), rel=3e-9)
+    assert v == pytest.approx(math.exp(march_rho(10.0, fine)), rel=3e-9)
+    assert math.exp(rho(10.0)) == pytest.approx(math.exp(march_rho(10.0, fine)), rel=3e-9)
 
 
-def test_rho_deep_values_stay_finite(grid):
-    # rho(128) ~ 1e-310 in linear space; the log grid must hold it cleanly
-    lr = rho(128.0, grid)
+def test_series_against_march_at_nodes(grid, march):
+    # the march's own error at the nodes, measured: 3.3e-8 in log rho just
+    # past u = 3, where its stencil straddles the jump in the third
+    # derivative, and 9.6e-10 from u = 10 on; off the nodes its cubic
+    # interpolation adds up to 3.2e-6 just past u = 2
+    d = np.abs(grid.log_rho - march.log_rho)
+    m = round(1.0 / grid.h)
+    assert len(d) == 128 * m + 1
+    assert d.max() <= 5e-8
+    assert d[10 * m :].max() <= 1.5e-9
+
+
+def test_rho_scalar_matches_grid_nodes(grid):
+    for i in range(0, len(grid.log_rho), 37):
+        assert rho(i * grid.h) == pytest.approx(grid.log_rho[i], rel=1e-15, abs=1e-15)
+
+
+def test_rho_deep_values_stay_finite():
+    # rho(128) ~ 1e-310 in linear space; log rho holds it cleanly
+    lr = rho(128.0)
     assert lr == pytest.approx(-712.94389, abs=1e-3)
     assert math.isfinite(lr)
 
@@ -144,8 +186,8 @@ def test_dde_residual_h_refinement():
         return np.array(out)
 
     us = [k / 8 for k in range(20, 65)]
-    c64 = fitted_c(build_rho_grid(10.0, 1.0 / 64, quadrature_order=4), us)
-    c128 = fitted_c(build_rho_grid(10.0, 1.0 / 128, quadrature_order=4), us)
+    c64 = fitted_c(march_grid(10.0, 1.0 / 64, quadrature_order=4), us)
+    c128 = fitted_c(march_grid(10.0, 1.0 / 128, quadrature_order=4), us)
     assert c64.max() < 2.5
     assert c128.max() < 2.5
     # raw residuals shrink 4x per h halving; the fitted constants stay put
@@ -153,57 +195,63 @@ def test_dde_residual_h_refinement():
     assert 3.5 < raw < 4.5
 
 
-def test_integral_identity_seeded(fine):
-    # u*rho(u) = int_{u-1}^{u} rho(t) dt; integrate in scaled space
+def test_integral_identity_seeded():
+    # u*rho(u) = int_{u-1}^{u} rho(t) dt; integrate in scaled space, split at
+    # the integer inside the window, where a derivative of rho jumps
     rng = np.random.default_rng(20260817)
-    for u in rng.uniform(2.2, 60.0, 100):
-        base = rho(u, fine)
+    for u in rng.uniform(2.2, 128.0, 200):
+        base = rho(u)
         val, _ = quad(
-            lambda t: math.exp(rho(t, fine) - base),
+            lambda t: math.exp(rho(t) - base),
             u - 1.0,
             u,
-            epsabs=1e-30,
-            epsrel=1e-12,
+            points=[math.floor(u)],
+            epsabs=0,
+            epsrel=1e-13,
             limit=200,
         )
-        assert abs(val / u - 1.0) <= 1e-9
+        assert abs(val / u - 1.0) <= 1e-12
 
 
-def test_integral_identity_across_kink(fine):
+def test_integral_identity_across_kink():
     # interval straddles u = 1 where rho' jumps; split the quadrature there
     for u in (1.3, 1.7, 1.95):
         val, _ = quad(
-            lambda t: math.exp(rho(t, fine)),
+            lambda t: math.exp(rho(t)),
             u - 1.0,
             u,
             points=[1.0],
             epsabs=0,
-            epsrel=1e-12,
+            epsrel=1e-13,
             limit=200,
         )
-        assert val == pytest.approx(u * math.exp(rho(u, fine)), rel=1e-10)
+        assert val == pytest.approx(u * math.exp(rho(u)), rel=1e-12)
 
 
 # --- domain handling ---------------------------------------------------------------
 
 
-def test_rho_domain_and_range_errors(grid):
+def test_rho_domain_and_range_errors():
     with pytest.raises(DomainError):
-        rho(-0.1, grid)
+        rho(-0.1)
+    with pytest.raises(DomainError):
+        rho(math.nan)
     with pytest.raises(RangeError):
-        rho(grid.u_max * 1.01, grid)
-    assert math.isfinite(rho(grid.u_max, grid))
+        rho(RHO_U_MAX * 1.01)
+    assert math.isfinite(rho(RHO_U_MAX))
 
 
 def test_build_grid_validation():
     with pytest.raises(DomainError):
-        build_rho_grid(501.0, 1.0 / 128)
+        build_rho_grid(501.0)
     with pytest.raises(DomainError):
-        build_rho_grid(10.0, 0.2)
+        build_rho_grid(1.5)
     with pytest.raises(DomainError):
-        build_rho_grid(10.0, 5e-5)
+        march_grid(10.0, 0.2)
     with pytest.raises(DomainError):
-        build_rho_grid(10.0, 1.0 / 128, quadrature_order=1)
+        march_grid(10.0, 5e-5)
+    with pytest.raises(DomainError):
+        march_grid(10.0, 1.0 / 128, quadrature_order=1)
 
 
 def test_default_grid_is_cached():
@@ -251,6 +299,16 @@ def test_xi_monotone_and_edge_cases():
     assert xi(math.e).xi == pytest.approx(bisect_xi(math.e), rel=1e-12)
     with pytest.raises(DomainError):
         xi(0.999)
+
+
+def test_xi_overflow_edge():
+    # e^xi = 1 + u*xi stays a double up to u = expm1(S)/S ~ 2.533e305, S = log DBL_MAX
+    assert xi(2e305).xi == pytest.approx(bisect_xi(2e305), rel=1e-14)
+    assert 709.0 < xi(2.5e305).xi < 709.79
+    with pytest.raises(RangeError):
+        xi(2.6e305)
+    with pytest.raises(RangeError):
+        xi(1e308)
 
 
 def test_xi_prime_matches_finite_differences():
@@ -327,9 +385,9 @@ def test_xi_integral_equals_int_exp_of_xi():
 # --- the asymptotic ----------------------------------------------------------------
 
 
-def test_rho_asymptotic_bands(grid):
-    r10 = math.exp(rho_asymptotic(10.0) - rho(10.0, grid))
-    r50 = math.exp(rho_asymptotic(50.0) - rho(50.0, grid))
+def test_rho_asymptotic_bands():
+    r10 = math.exp(rho_asymptotic(10.0) - rho(10.0))
+    r50 = math.exp(rho_asymptotic(50.0) - rho(50.0))
     assert 0.9 < r10 < 1.1
     assert 0.97 < r50 < 1.03
     assert r10 == pytest.approx(1.0069562, abs=2e-4)
@@ -338,8 +396,8 @@ def test_rho_asymptotic_bands(grid):
         rho_asymptotic(1.5)
 
 
-def test_rho_asymptotic_trend(grid):
-    gaps = [abs(math.exp(rho_asymptotic(u) - rho(u, grid)) - 1.0) for u in (10.0, 20.0, 40.0, 80.0)]
+def test_rho_asymptotic_trend():
+    gaps = [abs(math.exp(rho_asymptotic(u) - rho(u)) - 1.0) for u in (10.0, 20.0, 40.0, 80.0)]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
