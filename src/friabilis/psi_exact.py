@@ -6,8 +6,10 @@ searchsorted. x can be astronomically large when y is small (the regime
 where u = log x/log y is big). Exactness at the x boundary is restored by
 big-integer resolution of guard-band hits, whose exact values are rebuilt
 from links each set member keeps to the member it extends.
-psi_sieve is a segmented largest-prime-factor sieve for moderate x.
-psi_buchstab is the memoized recursion on (quotient, prime-index) states.
+psi_sieve is a segmented sieve for moderate x that multiplies the prime
+powers p^j <= x into an array and keeps the n whose entry reached n.
+psi_buchstab applies Buchstab's identity one prime at a time to an array
+of distinct quotients of x.
 """
 
 import math
@@ -204,10 +206,12 @@ def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
 
 
 def psi_sieve(x, y, *, max_x=10**8, segment=1 << 20) -> PsiResult:
-    """Count by dividing every prime power p^j <= x out of an integer array.
+    """Count by multiplying every prime power p^j <= x into an array of ones.
 
-    After all primes <= y have been divided out, the y-friable survivors
-    are exactly the entries reduced to 1. Segments keep memory flat.
+    Entry n collects p once for each p^j dividing it, so after all primes
+    <= y it holds the y-friable part of n, and n is y-friable exactly when
+    the entry equals n. That part is at most n, so int32 holds it while
+    x < 2^31. Segments keep memory flat.
     """
     x = int(x)
     y = float(y)
@@ -220,32 +224,51 @@ def psi_sieve(x, y, *, max_x=10**8, segment=1 << 20) -> PsiResult:
     if y >= x:
         return PsiResult(log_x=math.log(x), y=y, count=x, method="sieve")
 
+    dtype = np.int32 if x < 2**31 else np.int64
     plist = sieve_primes(max(int(y), 2)).primes.tolist()
     count = 0
     for lo in range(1, x + 1, segment):
         hi = min(lo + segment, x + 1)
-        work = np.arange(lo, hi, dtype=np.int64)
+        acc = np.ones(hi - lo, dtype=dtype)
         for p in plist:
             q = p
             while q < hi:
                 start = ((lo + q - 1) // q) * q
                 if start < hi:
-                    work[start - lo:: q] //= p
+                    acc[start - lo:: q] *= p
                 q *= p
-        count += int((work == 1).sum())
+        count += int((acc == np.arange(lo, hi, dtype=dtype)).sum())
     return PsiResult(log_x=math.log(x), y=y, count=count, method="sieve")
+
+
+def _bit_length(n: np.ndarray) -> np.ndarray:
+    """bit_length of each 1 <= n < 2^63, exactly.
+
+    float64 rounds n above 2^53 and can round it up to the next power of
+    two, so the frexp exponent is one too high there; those entries are
+    the ones where 2^(e - 1) > n.
+    """
+    e = np.minimum(np.frexp(n.astype(np.float64))[1], 63).astype(np.int64)
+    return e - (np.left_shift(1, e - 1) > n)
 
 
 def psi_buchstab(x, table: PrimeTable, y, *, max_x=10**12, max_y=10**5,
                  memo_cap=4_000_000) -> PsiResult:
-    """Memoized recursion over the largest prime factor.
+    """Buchstab's identity applied one prime at a time, top down.
 
-    Psi(n, i) = bit_length(n) + sum over 2 <= j <= i of Psi(n // p_j, j):
-    the bit_length term is n = 1 plus the powers of two, and the j-th term
-    collects the n whose largest prime factor is exactly p_j. Recursion
-    depth is log2(x) since n shrinks by at least half per level. The memo
-    never evicts; hitting the capacity raises instead, keeping runs
-    deterministic.
+    Psi(n, p) = sum over e >= 0 of Psi(n // p^e, p-), where p- is the prime
+    below p (Buchstab 1949; de Bruijn 1951). The count is held as a sum
+    of w * Psi(n, p) over distinct quotients n with int64 multiplicities
+    w, starting from x with w = 1. At each prime p from p_k = largest
+    prime <= y down to 3, a term with n <= p is worth n * w (every m <= n
+    is p-friable) and is dropped; every other n also spawns n // p^e for
+    e >= 1 while that is >= 1, and equal quotients merge. Below 3 only
+    the powers of two are left: a term is worth w * bit_length(n).
+
+    Every partial sum is at most the count, which is at most x, so int64
+    holds it; x >= 2^63 is refused whatever max_x is (psi_enumerate counts
+    that range). memo_cap bounds the distinct quotients held at one
+    level; passing it raises, keeping runs deterministic.
     """
     x = int(x)
     y = float(y)
@@ -254,40 +277,46 @@ def psi_buchstab(x, table: PrimeTable, y, *, max_x=10**12, max_y=10**5,
     if y < 2.0:
         raise DomainError(f"psi_buchstab needs y >= 2, got {y}")
     if x > max_x:
-        raise ResourceError(f"x = {x} exceeds the recursion cap {max_x}", estimate=float(x))
+        raise ResourceError(f"x = {x} exceeds the Buchstab cap {max_x}", estimate=float(x))
+    if x >= 2**63:
+        raise ResourceError(f"x = {x} does not fit the int64 quotients (x < 2^63)",
+                            estimate=float(x))
     if y > max_y:
-        raise ResourceError(f"y = {y} exceeds the recursion cap {max_y}", estimate=float(y))
+        raise ResourceError(f"y = {y} exceeds the Buchstab cap {max_y}", estimate=float(y))
     if table.limit < y:
         raise DomainError(f"prime table covers {table.limit}, below y = {y}")
     k = table.pi(y)
     if k == 0:
         raise DomainError(f"no primes at or below y = {y}")
-    ps = table.primes[:k].tolist()
-    memo = {}
-
-    def rec(n: int, i: int) -> int:
-        p = ps[i - 1]
-        if p >= n:
-            return n  # every m <= n is friable here (prime m <= n <= p)
-        if i == 1:
-            return n.bit_length()  # 1 and the powers of two up to n
-        key = (n, i)
-        v = memo.get(key)
-        if v is not None:
-            return v
-        total = n.bit_length()
-        for j in range(2, i + 1):
-            pj = ps[j - 1]
-            if pj > n:
-                break
-            total += rec(n // pj, j)
-        if len(memo) >= memo_cap:
+    n = np.array([x], dtype=np.int64)
+    w = np.ones(1, dtype=np.int64)
+    count = 0
+    for p in table.primes[k - 1:0:-1].tolist():
+        done = n <= p
+        count += int((n[done] * w[done]).sum())
+        n, w = n[~done], w[~done]
+        if not n.size:
+            break
+        ns, ws = [n], [w]
+        q, qw = n, w
+        while q.size:
+            q = q // p
+            ns.append(q)
+            ws.append(qw)
+            keep = q >= p
+            q, qw = q[keep], qw[keep]
+        # each part is sorted, so _sorted merges runs; reduceat keeps the
+        # int64 sums exact, where bincount would sum in float64
+        n, w = np.concatenate(ns), np.concatenate(ws)
+        del ns, ws  # the parts would otherwise stay alive through the sort
+        n, w = _sorted(n, w)
+        starts = np.flatnonzero(np.r_[True, n[1:] != n[:-1]])
+        n, w = n[starts], np.add.reduceat(w, starts)
+        if n.size > memo_cap:
             raise ResourceError(
-                f"memo reached capacity {memo_cap} at x = {x}, y = {y}",
-                estimate=float(memo_cap),
+                f"{n.size} distinct quotients at p = {p} pass the cap {memo_cap}"
+                f" at x = {x}, y = {y}",
+                estimate=float(n.size),
             )
-        memo[key] = total
-        return total
-
-    count = rec(x, k)
+    count += int((w * _bit_length(n)).sum())
     return PsiResult(log_x=math.log(x), y=y, count=count, method="buchstab")

@@ -3,7 +3,9 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from buchstab_recursion import buchstab_recursion
 
 from friabilis.errors import DomainError, ResourceError
 from friabilis.prime_tables import sieve_primes
@@ -81,6 +83,49 @@ def test_three_way_at_1e7(table):
     s = psi_sieve(10**7, 1000.0).count
     b = psi_buchstab(10**7, table, 1000.0).count
     assert e == s == b
+
+
+def test_buchstab_sweep_against_recursion(table):
+    # the sweep against the per-state recursion it replaced, on a seeded
+    # log-uniform grid and on the edges of its level loop: x = 1 and 2,
+    # y = 2 (no level at all), y >= x, y at a prime and just below it, and
+    # x a prime power
+    rng = np.random.default_rng(8)
+    cells = [(int(math.exp(a)), float(math.exp(b)))
+             for a, b in zip(rng.uniform(0, math.log(1e7), 40),
+                             rng.uniform(math.log(2), math.log(1e3), 40))]
+    cells += [(x, y) for x in (1, 2) for y in (2.0, 2.5, 3.0, 100.0)]
+    cells += [(x, 2.0) for x in (3, 1000, 2**20 - 1, 2**20, 10**7)]
+    cells += [(x, float(x + d)) for x in (5, 97, 1000) for d in (-1, 0, 5)]
+    cells += [(10**6, y) for y in (97.0, 96.999, 96.0, 101.0, 100.9999)]
+    cells += [(x, y) for x in (3**13, 2**20, 7**7, 997**2) for y in (3.0, 7.0, 997.0)]
+    for x, y in cells:
+        assert psi_buchstab(x, table, y).count == buchstab_recursion(x, table.primes, y), (x, y)
+
+
+def test_buchstab_int64_edges(table):
+    # float64 rounds 2^60 - 1 up to 2^60, so bit_length must not come from
+    # the frexp exponent alone; past 2^63 the int64 quotients refuse
+    big = 2**70
+    assert psi_buchstab(2**53 - 1, table, 2.0, max_x=big).count == 53
+    assert psi_buchstab(2**60 - 1, table, 2.0, max_x=big).count == 60
+    assert psi_buchstab(2**60 - 1, table, 5.0, max_x=big).count == 11023
+    top = 2**63 - 1  # float64 rounds it to 2^63, one bit past int64
+    assert (psi_buchstab(top, table, 3.0, max_x=big).count
+            == buchstab_recursion(top, table.primes, 3.0))
+    with pytest.raises(ResourceError):
+        psi_buchstab(2**64 + 1, table, 3.0, max_x=big)
+
+
+def test_enumerate_and_buchstab_at_1e10(table):
+    e = psi_enumerate(None, table, 300.0, x_exact=10**10).count
+    b = psi_buchstab(10**10, table, 300.0).count
+    assert e == b == 69_217_415
+
+
+def test_buchstab_pin_1e12(table):
+    # pinned from the memoized recursion
+    assert psi_buchstab(10**12, table, 1000.0).count == 6_471_274_933
 
 
 def test_large_y_small_u(table):
