@@ -41,6 +41,17 @@ class XiValue:
     xi: float
     residual: float  # |e^xi - 1 - u*xi| at the returned root
 
+    @property
+    def slope(self) -> float:
+        """xi'(u), from differentiating e^xi = 1 + u xi:  xi' = xi / (1 + u xi - u).
+
+        The denominator is e^xi - u > 0 for all u > 1; at u = 1 the limit is
+        2, since xi ~ 2(u-1) there.
+        """
+        if self.u == 1.0:
+            return 2.0
+        return self.xi / (1.0 + self.u * self.xi - self.u)
+
 
 def xi(u) -> XiValue:
     """Nonzero root of e^xi = 1 + u*xi for u >= 1 (xi(1) = 0).
@@ -137,16 +148,8 @@ def xi_integral(u) -> float:
 
 
 def xi_prime(u) -> float:
-    """xi'(u), from differentiating e^xi = 1 + u xi:  xi' = xi / (1 + u xi - u).
-
-    The denominator is e^xi - u > 0 for all u > 1.
-    """
-    u = float(u)
-    xv = xi(u)
-    if u == 1.0:
-        # limit: xi ~ 2(u-1) near 1, so xi' -> 2
-        return 2.0
-    return xv.xi / (1.0 + u * xv.xi - u)
+    """xi'(u) for u >= 1; see XiValue.slope."""
+    return xi(u).slope
 
 
 def rho_asymptotic(u) -> float:
@@ -163,8 +166,7 @@ def rho_asymptotic(u) -> float:
     if u < 2.0:
         raise DomainError(f"rho_asymptotic intended for u >= 2, got {u}")
     xv = xi(u)
-    xp = xv.xi / (1.0 + u * xv.xi - u)
-    return EULER_GAMMA - u * xv.xi + xi_integral(u) + 0.5 * math.log(xp / (2.0 * math.pi))
+    return EULER_GAMMA - u * xv.xi + int_exp(xv.xi) + 0.5 * math.log(xv.slope / (2.0 * math.pi))
 
 
 # --- rho ---------------------------------------------------------------------------

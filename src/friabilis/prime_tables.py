@@ -1,10 +1,11 @@
 """Prime tables and the classical counting functions built on them.
 
 A PrimeTable holds every prime up to a limit as an int64 array together
-with float64 log-primes.  On top of the table: pi(t), Chebyshev psi(t), the
-logarithmic integral li(t) (principal value, as Ei(log t) from its
-series), the weighted prime-power count Pi(t) = sum pi(t^{1/k})/k, and
-the two remainders r(t) = psi(t) - t and q(t) = Pi(t) - li(t).
+with float64 log-primes.  On top of the table: pi(t) and pi(t^{1/k}) at
+the exact integer roots of t, Chebyshev psi(t), the logarithmic integral
+li(t) (principal value, as Ei(log t) from its series), the weighted
+prime-power count Pi(t) = sum pi(t^{1/k})/k, and the two remainders
+r(t) = psi(t) - t and q(t) = Pi(t) - li(t).
 
 Code that does exact integer arithmetic on primes takes them as Python
 ints, through ``table.primes[:k].tolist()``: int64 products wrap silently.
@@ -39,11 +40,28 @@ class PrimeTable:
     log_primes: np.ndarray  # np.log of the primes as float64
 
     def pi(self, t) -> int:
-        """Count primes <= t.  t may be real; t must not exceed limit."""
-        tf = math.floor(t)
-        if tf > self.limit:
-            raise RangeError(f"pi query t={t} exceeds table limit {self.limit}")
-        return int(np.searchsorted(self.primes, tf, side="right"))
+        """Count primes <= t, for real t.
+
+        The one place that decides which primes are <= t and whether the
+        table covers t: nan, the infinities and any t with floor(t) > limit
+        raise RangeError, tested before t is floored.
+        """
+        if not -math.inf < t < self.limit + 1:
+            raise RangeError(f"pi query t={t} needs a finite t with floor(t) <= {self.limit}")
+        return int(np.searchsorted(self.primes, math.floor(t), side="right"))
+
+    def root_counts(self, t) -> list:
+        """[pi(t), pi(t^(1/2)), pi(t^(1/3)), ...] while the root is >= 2.
+
+        Entry k - 1 counts the primes p with p^k <= t.  The roots of floor(t)
+        are exact integer roots, so no prime power on the boundary is
+        mis-binned by float pow.
+        """
+        counts = [self.pi(t)]
+        n = math.floor(t)
+        while (r := _iroot(n, len(counts) + 1)) >= 2:
+            counts.append(self.pi(r))
+        return counts
 
 
 def _sieve(limit: int) -> np.ndarray:
@@ -88,22 +106,14 @@ def sieve_primes(limit: int) -> PrimeTable:
 def chebyshev_psi(t, table: PrimeTable) -> float:
     """Chebyshev psi(t) = sum of log p over prime powers p^k <= t.
 
-    Higher powers are walked with exact integer comparisons (no float pow
-    at the boundary); one math.fsum over every term rounds the total once.
+    Each p with p^k <= t adds its log once per k, so the terms are the
+    log-prime slices that table.root_counts(t) delimits; one math.fsum over
+    every term rounds the total once.
     """
     if t < 2:
         raise DomainError(f"chebyshev_psi needs t >= 2, got {t}")
-    tf = math.floor(t)
-    if tf > table.limit:
-        raise RangeError(f"t={t} exceeds table limit {table.limit}")
-    terms = table.log_primes[: table.pi(tf)].tolist()
-    for p in table.primes[: table.pi(math.isqrt(tf))].tolist():
-        lp = math.log(p)
-        pk = p * p
-        while pk <= tf:
-            terms.append(lp)
-            pk *= p
-    return math.fsum(terms)
+    lp = table.log_primes
+    return math.fsum(np.concatenate([lp[:c] for c in table.root_counts(t)]).tolist())
 
 
 def li(t) -> float:
@@ -138,24 +148,12 @@ def _iroot(n: int, k: int) -> int:
 def big_pi(t, table: PrimeTable) -> float:
     """Riemann's weighted prime-power count Pi(t) = sum_{k>=1} pi(t^{1/k}) / k.
 
-    Equivalent to summing 1/k over prime powers p^k <= t.  Roots of floor(t)
-    are taken exactly in integer arithmetic, so boundary prime powers are
-    never mis-binned by float pow.
+    Equivalent to summing 1/k over prime powers p^k <= t; the counts are
+    table.root_counts(t), whose roots are exact.
     """
     if t < 2:
         raise DomainError(f"big_pi needs t >= 2, got {t}")
-    tf = math.floor(t)
-    if tf > table.limit:
-        raise RangeError(f"t={t} exceeds table limit {table.limit}")
-    terms = []
-    k = 1
-    while True:
-        r = _iroot(tf, k)
-        if r < 2:
-            break
-        terms.append(table.pi(r) / k)
-        k += 1
-    return math.fsum(terms)
+    return math.fsum(c / k for k, c in enumerate(table.root_counts(t), start=1))
 
 
 @dataclass

@@ -166,8 +166,6 @@ def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
     log_x = float(log_x)
     if log_x < 0.0:
         raise DomainError(f"psi_enumerate needs log_x >= 0, got {log_x}")
-    if table.limit < y:
-        raise DomainError(f"prime table covers {table.limit}, below y = {y}")
     eps = 1e-9 * (1.0 + log_x) if eps_guard is None else float(eps_guard)
     if eps <= 0.0:
         raise DomainError(f"eps_guard must be positive, got {eps}")
@@ -217,7 +215,7 @@ def psi_sieve(x, y, *, max_x=10**8, segment=1 << 20) -> PsiResult:
     y = float(y)
     if x < 1:
         raise DomainError(f"psi_sieve needs x >= 1, got {x}")
-    if y < 2.0:
+    if not y >= 2.0:
         raise DomainError(f"psi_sieve needs y >= 2, got {y}")
     if x > max_x:
         raise ResourceError(f"x = {x} exceeds the sieve cap {max_x}", estimate=float(x))
@@ -281,13 +279,9 @@ def psi_buchstab(x, table: PrimeTable, y, *, max_x=10**12, max_y=10**5,
     if x >= 2**63:
         raise ResourceError(f"x = {x} does not fit the int64 quotients (x < 2^63)",
                             estimate=float(x))
+    k = table.pi(y)  # before the y cap, so a y of nan or inf is a RangeError
     if y > max_y:
         raise ResourceError(f"y = {y} exceeds the Buchstab cap {max_y}", estimate=float(y))
-    if table.limit < y:
-        raise DomainError(f"prime table covers {table.limit}, below y = {y}")
-    k = table.pi(y)
-    if k == 0:
-        raise DomainError(f"no primes at or below y = {y}")
     n = np.array([x], dtype=np.int64)
     w = np.ones(1, dtype=np.int64)
     count = 0

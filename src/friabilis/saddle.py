@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dickman import int_exp, xi, xi_integral
+from .dickman import int_exp, xi
 from .errors import DomainError, NumericError, RangeError
 from .prime_tables import PrimeTable
 
@@ -51,11 +51,7 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
         raise DomainError(f"solve_alpha needs y >= 2, got {y}")
     if log_x < _LOG2:
         raise DomainError(f"solve_alpha needs log_x >= log 2, got {log_x}")
-    if table.limit < y:
-        raise DomainError(f"prime table covers {table.limit}, below y = {y}")
     k = table.pi(y)
-    if k == 0:
-        raise DomainError(f"no primes at or below y = {y}")
     logp = table.log_primes[:k]
 
     def g(a: float) -> float:
@@ -129,8 +125,6 @@ def zeta_partial(s: float, table: PrimeTable, y: float) -> float:
     s = float(s)
     if s <= 0.0:
         raise DomainError(f"zeta_partial needs s > 0, got {s}")
-    if table.limit < y:
-        raise DomainError(f"prime table covers {table.limit}, below y = {y}")
     k = table.pi(y)
     terms = -np.log1p(-np.exp(-s * table.log_primes[:k]))
     return math.fsum(terms.tolist())
@@ -141,8 +135,6 @@ def prime_power_sums(s: float, table: PrimeTable, y: float) -> tuple:
     s = float(s)
     if s <= 0.0:
         raise DomainError(f"prime_power_sums needs s > 0, got {s}")
-    if table.limit < y:
-        raise DomainError(f"prime table covers {table.limit}, below y = {y}")
     k = table.pi(y)
     logp = table.log_primes[:k]
     s_val = math.fsum(np.exp(-s * logp).tolist())
@@ -186,9 +178,10 @@ def f_at_beta_identity(log_x: float, y: float) -> tuple:
     u = log_x / log_y
     if u < 1.0:
         raise DomainError(f"f_at_beta_identity needs u >= 1, got u = {u}")
-    beta = 1.0 - xi(u).xi / log_y
+    xv = xi(u)
+    beta = 1.0 - xv.xi / log_y
     lhs = beta * log_x + int_exp((1.0 - beta) * log_y)
-    rhs = log_x - u * xi(u).xi + xi_integral(u)
+    rhs = log_x - u * xv.xi + int_exp(xv.xi)  # int_1^u t xi'(t) dt = I(xi(u))
     return lhs, rhs
 
 

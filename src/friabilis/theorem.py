@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dickman import RHO_U_MAX, int_exp, rho
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, ResourceError
 from .prime_tables import PrimeTable
 from .psi_exact import psi_enumerate
 from .saddle import SaddleState, prime_power_sums, psi_saddle, solve_alpha
@@ -204,30 +204,43 @@ def largest_feasible_log_x(c: float, table: PrimeTable, *,
     Feasible means: y = (log x)^c within the prime table, u within the range
     of dickman.rho, and the saddle estimate of Psi at most max_count.  All three
     constraints tighten monotonically in log x, so doubling plus bisection
-    finds the frontier.  Used by scans when the caller names only c.
+    finds the frontier.  Used by scans when the caller names only c.  When
+    log x = 9 is already infeasible, the error names the bound that fails
+    there: a ResourceError when it is the prime table or max_count (caps),
+    a DomainError when y = 9^c lies below 2.
     """
     classify_regime(c)
+    if not max_count > 0:
+        raise DomainError(f"max_count must be positive, got {max_count}")
     target = math.log(max_count)
 
-    def feasible(lx: float) -> bool:
+    def broken(lx: float):
+        # the first bound that log x = lx breaks, as (error type, message), or None
         y = lx ** c
-        if y > table.limit or y < 2.0:
-            return False
+        if y < 2.0:
+            return DomainError, f"y = {y:.3g} lies below 2"
+        if y > table.limit:
+            return ResourceError, f"y = {y:.3g} exceeds the prime table limit {table.limit}"
         u = lx / math.log(y)
         if u > RHO_U_MAX:
-            return False
-        return psi_saddle(lx, table, y) <= target
+            return RangeError, f"u = {u:.3g} lies beyond rho's range {RHO_U_MAX:g}"
+        est = psi_saddle(lx, table, y)
+        if est > target:
+            return ResourceError, (f"estimated count exp({est:.2f}) exceeds"
+                                   f" max_count {max_count:.3g}")
+        return None
 
     lo = 9.0
-    if not feasible(lo):
-        raise DomainError(f"no feasible x at c={c} under max_count={max_count:.3g}")
+    if (why := broken(lo)) is not None:
+        error, message = why
+        raise error(f"no feasible x at c={c}: at log x = {lo:g}, {message}")
     hi = lo * 2.0
-    while feasible(hi):
+    while broken(hi) is None:
         lo = hi
         hi *= 2.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        if broken(mid) is None:
             lo = mid
         else:
             hi = mid
@@ -242,29 +255,23 @@ def q_integral(y: float, alpha: float, table: PrimeTable) -> tuple:
     pi_part = sum_{p <= y} p^(-alpha) - smooth
 
     Their difference is exactly the k >= 2 tail, the numeric face of the
-    pi-vs-Q comparison.  With b = 1 - alpha and t = e^v, the smooth part is
+    pi-vs-Q comparison.  Which p^k are <= y comes from table.root_counts(y),
+    exact at every prime power; a y past the table raises RangeError there.
+    With b = 1 - alpha and t = e^v, the smooth part is
     Ei(b log y) - Ei(b log 2) = log(log y / log 2) + I(b log y) - I(b log 2),
     by Ei(s) = gamma + log s + I(s); the I terms vanish at alpha = 1.  The
     identity needs b >= 0, so alpha must lie in (0, 1].
     """
     if not 2.0 <= y:
         raise DomainError(f"need y >= 2, got {y}")
-    if y > table.limit:
-        raise RangeError(f"y={y} beyond table limit {table.limit}")
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"need 0 < alpha <= 1, got {alpha}")
     lp = table.log_primes
-    # pad one ulp so p == y stays included despite log rounding
-    k_end = int(np.searchsorted(lp, math.log(y) * (1.0 + 1e-15), side="right"))
+    k_end, *roots = table.root_counts(y)
     pi_sum = math.fsum(np.exp(-alpha * lp[:k_end]))
-    tail = 0.0
-    for p in table.primes[: table.pi(math.isqrt(math.floor(y)))].tolist():
-        q = p * p
-        k = 2
-        while q <= y:
-            tail += q ** (-alpha) / k
-            q *= p
-            k += 1
+    # (p^k)^(-alpha) / k for the primes p with p^k <= y, k >= 2
+    tail = math.fsum(v for k, c in enumerate(roots, start=2)
+                     for v in (np.exp(-alpha * k * lp[:c]) / k).tolist())
     log_y, log_2, b = math.log(y), math.log(2.0), 1.0 - alpha
     smooth = math.log(log_y / log_2) + int_exp(b * log_y) - int_exp(b * log_2)
     return pi_sum + tail - smooth, pi_sum - smooth

@@ -203,6 +203,8 @@ BAD_INPUTS = [
     (["xi", "--u", "1e308"], 3),                          # e^xi passes the largest double
     (["psi", "--log-x", "1e300", "--y", "3"], 4),         # the powers of 2 alone pass the cap
     (["alpha", "--x", "1e10", "--y", "1e300"], 4),        # prime table beyond --max-sieve
+    (["compare", "--c", "1.2", "--max-sieve", "10"], 4),  # no feasible x: the table binds
+    (["compare", "--c", "1.2", "--max-count", "3"], 4),   # no feasible x: the count binds
 ]
 
 
@@ -374,8 +376,9 @@ def test_primes_limit_2_lists_only_2(capsys):
 
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_max_count_not_positive_exit_3(cap, capsys):
-    assert main(["psi", "--x", "1e6", "--y", "100", "--max-count", cap]) == 3
-    assert "max_count must be positive" in capsys.readouterr().err
+    for argv in (["psi", "--x", "1e6", "--y", "100"], ["compare", "--c", "1.2"]):
+        assert main(argv + ["--max-count", cap]) == 3
+        assert "max_count must be positive" in capsys.readouterr().err
 
 
 def test_no_scipy_at_runtime():

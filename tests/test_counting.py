@@ -10,7 +10,7 @@ from buchstab_recursion import buchstab_recursion
 from friabilis.errors import DomainError, ResourceError
 from friabilis.prime_tables import sieve_primes
 from friabilis.psi_exact import _Friables, psi_buchstab, psi_enumerate, psi_sieve
-from friabilis.saddle import psi_saddle
+from friabilis.saddle import psi_saddle, solve_alpha
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +296,21 @@ def test_enumerate_domain_errors(table):
     small = sieve_primes(100)
     with pytest.raises(DomainError):
         psi_enumerate(5.0, small, 500.0)
+    for y in (math.nan, math.inf, -math.inf):
+        for f in (lambda: psi_enumerate(3.0, table, y), lambda: psi_buchstab(100, table, y)):
+            with pytest.raises(DomainError):
+                f()
+    with pytest.raises(DomainError):
+        psi_sieve(100, math.nan)
+
+
+def test_y_just_past_the_table():
+    # y in (limit, limit + 1) holds the same primes as y = limit
+    small = sieve_primes(100)
+    lx = math.log(1e8)
+    assert solve_alpha(lx, small, 100.5).alpha == solve_alpha(lx, small, 100.0).alpha
+    assert (psi_enumerate(None, small, 100.5, x_exact=10**8).count
+            == psi_enumerate(None, small, 100.0, x_exact=10**8).count)
 
 
 def test_sieve_caps_and_segments(table):

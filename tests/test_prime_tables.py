@@ -180,6 +180,15 @@ def test_psi_real_argument(table_1e6):
 def test_psi_range_error(table_1e6):
     with pytest.raises(RangeError):
         chebyshev_psi(10**7, table_1e6)
+    # a t that is not finite or lies past the table is refused before flooring
+    for t in (math.nan, math.inf, -math.inf, 10**6 + 1, 10**400):
+        with pytest.raises(RangeError):
+            table_1e6.pi(t)
+        for f in (chebyshev_psi, big_pi):
+            with pytest.raises(DomainError):
+                f(t, table_1e6)
+    # floor(t) <= limit is all the table needs
+    assert table_1e6.pi(10**6 + 0.5) == table_1e6.pi(10**6) == 78498
 
 
 # --- li -----------------------------------------------------------------------
@@ -235,6 +244,8 @@ def test_big_pi_values(table_1e6):
     assert big_pi(3, table_1e6) == 2.0
     assert big_pi(4, table_1e6) == 2.5
     assert big_pi(10, table_1e6) == pytest.approx(16 / 3, abs=1e-14)
+    # 64 = 2^6: every root of it that is >= 2 is counted, the 6th exactly
+    assert table_1e6.root_counts(64) == [18, 4, 2, 1, 1, 1]
 
 
 def test_big_pi_via_prime_powers(table_1e6):

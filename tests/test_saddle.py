@@ -115,6 +115,11 @@ def test_alpha_domain_errors(table):
     small = sieve_primes(100)
     with pytest.raises(DomainError):
         solve_alpha(5.0, small, 1000.0)
+    for y in (math.nan, math.inf, -math.inf):
+        for f in (lambda: solve_alpha(5.0, table, y), lambda: zeta_partial(1.0, table, y),
+                  lambda: prime_power_sums(1.0, table, y)):
+            with pytest.raises(DomainError):
+                f()
 
 
 # --- alpha_approx ------------------------------------------------------------------

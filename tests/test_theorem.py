@@ -280,6 +280,16 @@ def test_q_integral_power_tail(table):
     assert q - pi == pytest.approx(hand, rel=1e-12)
 
 
+def test_q_integral_counts_p_from_p_on(table):
+    # no prime lies in (p - 1, p), so one ulp below p pi_part has only fallen
+    # with the smooth part since p - 1; it jumps by p^-a at p itself
+    a = 0.3
+    for p in (997, 7919, 104729, 999983):
+        below = th.q_integral(math.nextafter(p, 0), a, table)[1]
+        assert below < th.q_integral(p - 1, a, table)[1]
+        assert th.q_integral(p, a, table)[1] - below == pytest.approx(p ** -a, rel=1e-9)
+
+
 def test_q_integral_smooth_part_against_mpmath(table):
     # pi_part = sum_{p <= y} p^-a - smooth: rebuild the prime sum as q_integral
     # sums it, recover the smooth part, and check it against a 30-digit
@@ -312,6 +322,9 @@ def test_q_integral_domain(table):
         th.q_integral(1.5, 0.3, table)
     with pytest.raises(RangeError):
         th.q_integral(2e6, 0.3, table)
+    for y in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            th.q_integral(y, 0.3, table)
     with pytest.raises(DomainError):
         th.q_integral(100.0, 0.0, table)
     with pytest.raises(DomainError):
