@@ -5,7 +5,9 @@ with float64 log-primes.  On top of the table: pi(t) and pi(t^{1/k}) at
 the exact integer roots of t, Chebyshev psi(t), the logarithmic integral
 li(t) (principal value, as Ei(log t) from its series), the weighted
 prime-power count Pi(t) = sum pi(t^{1/k})/k, and the two remainders
-r(t) = psi(t) - t and q(t) = Pi(t) - li(t).
+r(t) = psi(t) - t and q(t) = Pi(t) - li(t).  exact_sum gives math.fsum's
+correctly rounded value of a float array without a Python list; every
+prime sum of the package goes through it.
 
 Code that does exact integer arithmetic on primes takes them as Python
 ints, through ``table.primes[:k].tolist()``: int64 products wrap silently.
@@ -29,6 +31,45 @@ LI2 = 1.04516378011749278484458888919
 _SEGMENT = 1 << 20
 
 _MAX_LIMIT = 10**9
+
+# exact_sum bins 27-bit mantissa halves; float64 bin totals stay exact below
+# 2^53, so at most 2^26 terms go into one binning
+_CHUNK = 1 << 26
+
+
+def exact_sum(arr) -> float:
+    """math.fsum(arr.tolist()), correctly rounded, without the list.
+
+    Each float is m 2^e with m an integer of at most 53 bits (np.frexp); its
+    two 27-bit halves are summed per exponent by np.bincount, exactly, and
+    the few exponent bins are combined in Python ints and rounded once, by
+    one int / 2^k division (an exponent-indexed accumulator, as in Neal 2015,
+    arXiv:1505.05571).  Non-finite terms, and sums that could overflow on the
+    way, go to math.fsum itself, so the value or error is the one it gives.
+    """
+    v = np.asarray(arr, dtype=np.float64).ravel()
+    n = len(v)
+    parts = []  # (integer c, exponent k) for c 2^k
+    for start in range(0, n, _CHUNK):
+        m, e = np.frexp(v[start:start + _CHUNK])
+        with np.errstate(invalid="ignore"):  # inf and nan reach math.fsum below
+            m *= 2.0**53                     # integer mantissas, |m| < 2^53
+            hi = np.trunc(m * 2.0**-27)
+            m -= hi * 2.0**27                # low halves, |m| < 2^27
+        base = int(e.min())
+        e -= base
+        hs = np.bincount(e, weights=hi)
+        ls = np.bincount(e, weights=m)
+        if (not (np.isfinite(hs).all() and np.isfinite(ls).all())
+                or base + int(e.max()) + n.bit_length() > 1023):
+            return math.fsum(v.tolist())
+        parts += [((int(h) << 27) + int(lo), base + j - 53)
+                  for j, (h, lo) in enumerate(zip(hs.tolist(), ls.tolist())) if h or lo]
+    if not parts:
+        return 0.0
+    low = min(k for _, k in parts)
+    total = sum(c << (k - low) for c, k in parts)
+    return total / (1 << -low) if low < 0 else float(total << low)
 
 
 @dataclass
@@ -107,13 +148,13 @@ def chebyshev_psi(t, table: PrimeTable) -> float:
     """Chebyshev psi(t) = sum of log p over prime powers p^k <= t.
 
     Each p with p^k <= t adds its log once per k, so the terms are the
-    log-prime slices that table.root_counts(t) delimits; one math.fsum over
+    log-prime slices that table.root_counts(t) delimits; one exact_sum over
     every term rounds the total once.
     """
     if t < 2:
         raise DomainError(f"chebyshev_psi needs t >= 2, got {t}")
     lp = table.log_primes
-    return math.fsum(np.concatenate([lp[:c] for c in table.root_counts(t)]).tolist())
+    return exact_sum(np.concatenate([lp[:c] for c in table.root_counts(t)]))
 
 
 def li(t) -> float:

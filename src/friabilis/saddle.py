@@ -13,7 +13,7 @@ import numpy as np
 
 from .dickman import int_exp, xi
 from .errors import DomainError, NumericError, RangeError
-from .prime_tables import PrimeTable
+from .prime_tables import PrimeTable, exact_sum
 
 _LOG2 = math.log(2.0)
 
@@ -29,6 +29,10 @@ class SaddleState:
     solver_residual: float
 
 
+# Newton passes allowed per solve; the closed-form start needs at most about 10
+_MAX_PASSES = 100
+
+
 def _alpha_terms(a: float, logp: np.ndarray) -> np.ndarray:
     # log p / (p^a - 1), written through expm1 so small a*log p stays exact
     with np.errstate(over="ignore"):
@@ -38,12 +42,20 @@ def _alpha_terms(a: float, logp: np.ndarray) -> np.ndarray:
 def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
     """Solve sum_{p<=y} log p / (p^alpha - 1) = log_x for alpha.
 
-    The sum is strictly decreasing in alpha with range (0, inf), so a unique
-    root exists for every log_x > 0. Bracket by doubling/halving from 1,
-    bisect to width 1e-3, then polish with Newton kept inside the bracket.
-    The bracket stops at alpha = 1e-18: a log_x so large against y that the
-    root lies below it (log_x = 1e300 at y = 100) is out of the solver's
-    range and raises RangeError.
+    g(a) = sum log p / (p^a - 1) - log_x is convex and strictly decreasing
+    with range (-log_x, inf), so a unique root exists for every log_x > 0,
+    and Newton started left of it climbs to it without crossing.  Newton
+    starts from the closed form log(1 + y/log_x)/log y, and each pass over
+    the log-primes gives g and g' together.  lo (g > 0) and hi (g <= 0)
+    bracket the root; while no hi is known a step at most doubles alpha,
+    and while no lo is known it at most halves it.  The solve stops when the
+    step is at most 1e-15 alpha, or at rounding noise: when Newton leaves a
+    bracket closed on both sides, or when a step fails to shrink
+    quadratically.  For u >= 1/2 it takes 4 to 8 passes (up to 10 for u
+    far below 1), then one more for the correctly rounded residual.  A root
+    below alpha = 1e-18 (log_x = 1e300 at y = 100) is out of the solver's
+    range and raises RangeError; the floor is checked on the result too,
+    since the closed-form start can converge straight to such a root.
     """
     log_x = float(log_x)
     y = float(y)
@@ -54,53 +66,45 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
     k = table.pi(y)
     logp = table.log_primes[:k]
 
-    def g(a: float) -> float:
-        return float(_alpha_terms(a, logp).sum()) - log_x
-
-    lo = hi = 1.0
-    if g(1.0) > 0.0:
-        hi = 2.0
-        while g(hi) > 0.0:
-            lo, hi = hi, hi * 2.0
-            if hi > 1e6:
-                raise NumericError("alpha bracket ran away upward")
-    else:
-        lo = 0.5
-        while g(lo) <= 0.0:
-            hi, lo = lo, lo * 0.5
-            if lo < 1e-18:
-                raise RangeError(f"alpha(x, y) lies below 1e-18 at log_x={log_x}, y={y}")
-
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-    a = 0.5 * (lo + hi)
-    for _ in range(200):
+    t = np.empty_like(logp)
+    lo, hi = 0.0, math.inf
+    a = math.log1p(y / log_x) / math.log(y)
+    prev = math.inf
+    for _ in range(_MAX_PASSES):
         with np.errstate(over="ignore"):
-            e = np.expm1(a * logp)
-            val = float((logp / e).sum()) - log_x
-            # d/da sum = -sum (log p)^2 p^a / (p^a - 1)^2
-            deriv = -float((logp * logp * (e + 1.0) / (e * e)).sum())
+            np.multiply(logp, a, out=t)
+            np.expm1(t, out=t)
+            np.divide(logp, t, out=t)  # log p / (p^a - 1)
+            val = float(t.sum()) - log_x
+            # g'(a) = -sum (log p)^2 p^a / (p^a - 1)^2 = -sum t (log p + t)
+            slope = -(float(np.dot(t, logp)) + float(np.dot(t, t)))
         if val > 0.0:
-            lo = max(lo, a)
+            lo = a
         else:
-            hi = min(hi, a)
-        step = val / deriv
-        nxt = a - step
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - a) <= 1e-15 * max(a, 1e-300):
-            a = nxt
+            hi = a
+        if hi < 1e-18:
             break
+        nxt = a - val / slope if slope < 0.0 else math.nan
+        if hi == math.inf and not nxt <= 2.0 * a:
+            nxt = 2.0 * a
+        elif lo == 0.0 and not nxt >= 0.5 * a:
+            nxt = 0.5 * a
+        elif not lo <= nxt <= hi:
+            break
+        step = abs(nxt - a) / a
         a = nxt
+        if a > 1e6:
+            raise NumericError(f"alpha ran away upward for log_x={log_x}, y={y}")
+        if step <= 1e-15 or step > 100.0 * prev * prev:
+            break
+        prev = step
     else:
         raise NumericError(f"alpha Newton did not converge for log_x={log_x}, y={y}")
+    del t
+    if a < 1e-18:
+        raise RangeError(f"alpha(x, y) lies below 1e-18 at log_x={log_x}, y={y}")
 
-    residual = math.fsum(_alpha_terms(a, logp).tolist()) - log_x
+    residual = exact_sum(_alpha_terms(a, logp)) - log_x
     log_y = math.log(y)
     u = log_x / log_y
     c = log_y / math.log(log_x) if log_x > 1.0 else math.nan
@@ -127,7 +131,7 @@ def zeta_partial(s: float, table: PrimeTable, y: float) -> float:
         raise DomainError(f"zeta_partial needs s > 0, got {s}")
     k = table.pi(y)
     terms = -np.log1p(-np.exp(-s * table.log_primes[:k]))
-    return math.fsum(terms.tolist())
+    return exact_sum(terms)
 
 
 def prime_power_sums(s: float, table: PrimeTable, y: float) -> tuple:
@@ -137,8 +141,8 @@ def prime_power_sums(s: float, table: PrimeTable, y: float) -> tuple:
         raise DomainError(f"prime_power_sums needs s > 0, got {s}")
     k = table.pi(y)
     logp = table.log_primes[:k]
-    s_val = math.fsum(np.exp(-s * logp).tolist())
-    t_val = math.fsum(np.exp(-2.0 * s * logp).tolist())
+    s_val = exact_sum(np.exp(-s * logp))
+    t_val = exact_sum(np.exp(-2.0 * s * logp))
     return s_val, t_val
 
 

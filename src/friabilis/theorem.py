@@ -17,7 +17,7 @@ import numpy as np
 
 from .dickman import RHO_U_MAX, int_exp, rho
 from .errors import DomainError, RangeError, ResourceError
-from .prime_tables import PrimeTable
+from .prime_tables import PrimeTable, exact_sum
 from .psi_exact import psi_enumerate
 from .saddle import SaddleState, prime_power_sums, psi_saddle, solve_alpha
 
@@ -260,7 +260,10 @@ def q_integral(y: float, alpha: float, table: PrimeTable) -> tuple:
     With b = 1 - alpha and t = e^v, the smooth part is
     Ei(b log y) - Ei(b log 2) = log(log y / log 2) + I(b log y) - I(b log 2),
     by Ei(s) = gamma + log s + I(s); the I terms vanish at alpha = 1.  The
-    identity needs b >= 0, so alpha must lie in (0, 1].
+    identity needs b >= 0, so alpha must lie in (0, 1].  Each part is one
+    exact_sum over its prime (and tail) terms and the three smooth terms,
+    rounded once, so a part that cancels to near 0 keeps relative accuracy
+    in those float terms.
     """
     if not 2.0 <= y:
         raise DomainError(f"need y >= 2, got {y}")
@@ -268,13 +271,13 @@ def q_integral(y: float, alpha: float, table: PrimeTable) -> tuple:
         raise DomainError(f"need 0 < alpha <= 1, got {alpha}")
     lp = table.log_primes
     k_end, *roots = table.root_counts(y)
-    pi_sum = math.fsum(np.exp(-alpha * lp[:k_end]))
+    primes = np.exp(-alpha * lp[:k_end])
     # (p^k)^(-alpha) / k for the primes p with p^k <= y, k >= 2
-    tail = math.fsum(v for k, c in enumerate(roots, start=2)
-                     for v in (np.exp(-alpha * k * lp[:c]) / k).tolist())
+    tail = [np.exp(-alpha * k * lp[:c]) / k for k, c in enumerate(roots, start=2)]
     log_y, log_2, b = math.log(y), math.log(2.0), 1.0 - alpha
-    smooth = math.log(log_y / log_2) + int_exp(b * log_y) - int_exp(b * log_2)
-    return pi_sum + tail - smooth, pi_sum - smooth
+    smooth = np.array([-math.log(log_y / log_2), -int_exp(b * log_y), int_exp(b * log_2)])
+    return (exact_sum(np.concatenate([primes, *tail, smooth])),
+            exact_sum(np.concatenate([primes, smooth])))
 
 
 # --- CSV plumbing -------------------------------------------------------------------

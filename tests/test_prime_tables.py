@@ -12,6 +12,7 @@ from friabilis.prime_tables import (
     _iroot,
     big_pi,
     chebyshev_psi,
+    exact_sum,
     li,
     remainder_sample,
     sieve_primes,
@@ -287,3 +288,58 @@ def test_remainder_sample_2(table_1e6):
 def test_remainder_sample_100(table_1e6):
     rs = remainder_sample(100, table_1e6)
     assert rs.r_t == pytest.approx(-5.9546887706, abs=1e-8)
+
+
+# --- exact_sum ---------------------------------------------------------------
+
+
+def _same_as_fsum(v):
+    # value bit for bit, or the same exception type, as math.fsum of the list
+    try:
+        want = math.fsum(v.tolist())
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            exact_sum(v)
+        return
+    got = exact_sum(v)
+    assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), (got, want)
+
+
+def test_exact_sum_matches_fsum_bitwise():
+    rng = np.random.default_rng(2015)
+    subnormal = math.ulp(0.0)
+    for n in (0, 1, 2, 3, 17, 1000, 5000):
+        for _ in range(20):
+            # mixed signs, exponents from 1e-300 to 1e300, subnormals, and
+            # exact opposites so that the large terms cancel
+            v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+            tiny = rng.integers(-(2**52), 2**52, n // 3 + 1) * subnormal
+            v = np.concatenate([v, tiny, -v[: n // 2], rng.uniform(-1.0, 1.0, n // 4)])
+            rng.shuffle(v)
+            _same_as_fsum(v)
+    _same_as_fsum(np.array([]))
+    for x in (0.0, -0.0, 1.0, -math.pi, subnormal, -3 * subnormal, 1.5e300, -2.0**-1074):
+        _same_as_fsum(np.array([x]))
+    # log-prime style sums: one sign, a narrow band of exponents, and a
+    # half-way case that must round to even
+    table = sieve_primes(10**5)
+    _same_as_fsum(table.log_primes)
+    _same_as_fsum(np.exp(-0.37 * table.log_primes))
+    _same_as_fsum(np.array([1.0, 2.0**-53, 2.0**-106]))
+    _same_as_fsum(np.array([1.0, 2.0**-53]))
+
+
+def test_exact_sum_over_2_20_terms():
+    rng = np.random.default_rng(20)
+    v = rng.standard_normal((1 << 20) + 3) * 10.0 ** rng.uniform(-8.0, 8.0, (1 << 20) + 3)
+    _same_as_fsum(v)
+    _same_as_fsum(np.abs(v))
+
+
+def test_exact_sum_non_finite_as_fsum():
+    inf, nan = math.inf, math.nan
+    for v in ([1.0, nan], [inf, 1.0, 2.0], [-inf, 5.0], [inf, -inf], [nan, inf, -inf],
+              [inf, inf], [nan], [1e308, 1e308, -1e308], [1.7e308, 1.7e308]):
+        _same_as_fsum(np.array(v))
+    with pytest.raises(ValueError):
+        exact_sum(np.array([inf, 1.0, -inf]))

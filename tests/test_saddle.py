@@ -1,7 +1,8 @@
 """Saddle solver, partial zeta, S/T sums, w, f, and the beta identities.
 
-The alpha oracle is a bisection-only solver over an explicit prime list,
-independent of the module's bracket/Newton path.
+The alpha oracles are a bisection-only solver over an explicit prime list
+and a Newton refinement whose value is a math.fsum over the explicit prime
+terms, both independent of the module's Newton path.
 """
 
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from friabilis.dickman import int_exp, xi
-from friabilis.errors import DomainError
+from friabilis.errors import DomainError, RangeError
 from friabilis.prime_tables import sieve_primes
 from friabilis.saddle import (
     alpha_approx,
@@ -122,6 +123,88 @@ def test_alpha_domain_errors(table):
                 f()
 
 
+def fsum_refined_alpha(log_x, primes, y, a):
+    # two Newton steps from a whose value is a math.fsum over the prime terms
+    logp = np.log(primes[primes <= y].astype(np.float64))
+    for _ in range(2):
+        terms = logp / np.expm1(a * logp)
+        val = math.fsum(terms.tolist()) - log_x
+        a -= val / -math.fsum((terms * (logp + terms)).tolist())
+    return a
+
+
+def test_alpha_against_fsum_refined_root(table):
+    # seeded cells over the 1e6 table, u from 0.3 (alpha > 1, where the
+    # start lies right of the root) to 1000
+    rng = np.random.default_rng(1986)
+    cells = [(10.0 ** rng.uniform(0.31, 6.0), 10.0 ** rng.uniform(-0.5, 3.0)) for _ in range(30)]
+    cells += [(2.0, 1.0), (2.0, 1000.0), (1e6, 0.3), (1e6, 1000.0), (3.0, 0.64)]
+    worst = 0.0
+    for y, u in cells:
+        log_x = u * math.log(y)
+        if log_x < math.log(2.0):
+            continue
+        a = solve_alpha(log_x, table, y).alpha
+        ref = fsum_refined_alpha(log_x, table.primes, y, a)
+        worst = max(worst, abs(a - ref) / ref)
+    assert worst <= 2e-15
+
+
+def test_alpha_below_floor_is_range_error(table):
+    # the closed-form start lies near alpha = 2e-299 here; the floor is
+    # checked on the result, not only on the bracket
+    for log_x, y in ((1e300, 100.0), (1e300, 3.0), (1e40, 1e6)):
+        with pytest.raises(RangeError):
+            solve_alpha(log_x, table, y)
+
+
+def test_alpha_passes_per_solve(table, monkeypatch):
+    # each pass over the log-primes makes one np.expm1 call, the residual
+    # included; this grid takes 5 to 9 (bracketing and bisecting from 1
+    # took 16 to 56)
+    calls = []
+    expm1 = np.expm1
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return expm1(*args, **kwargs)
+
+    monkeypatch.setattr(np, "expm1", counting)
+    for y in (2.0, 3.0, 10.0, 1e3, 1e5, 1e6):
+        for u in (0.3, 0.7, 1.0, 2.0, 10.0, 100.0, 1000.0):
+            log_x = u * math.log(y)
+            if log_x < math.log(2.0):
+                continue
+            calls.clear()
+            solve_alpha(log_x, table, y)
+            assert 2 <= len(calls) <= 12, (y, u, len(calls))
+
+
+def test_alpha_stops_at_rounding_noise(table, monkeypatch):
+    # with 1e-12 relative noise in every p^a - 1 no step gets below
+    # 1e-15 alpha; the noise stops must still end each solve within a few
+    # passes (without them this grid runs into the pass cap)
+    cells = [(y, u) for y in (2.0, 10.0, 1e3, 1e6) for u in (0.5, 2.0, 30.0, 1000.0)
+             if u * math.log(y) >= math.log(2.0)]
+    clean = [solve_alpha(u * math.log(y), table, y).alpha for y, u in cells]
+    rng = np.random.default_rng(12)
+    calls = []
+    expm1 = np.expm1
+
+    def noisy(x, out=None):
+        calls.append(1)
+        r = expm1(x, out=out)
+        r *= 1.0 + 1e-12 * rng.standard_normal(np.shape(r))
+        return r
+
+    monkeypatch.setattr(np, "expm1", noisy)
+    for (y, u), want in zip(cells, clean):
+        calls.clear()
+        got = solve_alpha(u * math.log(y), table, y).alpha
+        assert len(calls) <= 10, (y, u, len(calls))
+        assert got == pytest.approx(want, rel=1e-11)
+
+
 # --- alpha_approx ------------------------------------------------------------------
 
 
@@ -181,6 +264,16 @@ def test_prime_power_sums_values(table):
     assert tv2 == pytest.approx(2.0**-1.6, rel=1e-15)
     with pytest.raises(DomainError):
         prime_power_sums(-0.1, table, 10.0)
+
+
+def test_prime_sums_are_fsum_of_their_terms(table):
+    # exact_sum gives math.fsum's value: bit for bit the sums of the list
+    for y in (2.0, 97.0, 1e4 + 0.5, 1e6):
+        lp = table.log_primes[:table.pi(y)]
+        for s in (0.2, 1.0, 2.5):
+            assert zeta_partial(s, table, y) == math.fsum((-np.log1p(-np.exp(-s * lp))).tolist())
+            assert prime_power_sums(s, table, y) == (math.fsum(np.exp(-s * lp).tolist()),
+                                                     math.fsum(np.exp(-2.0 * s * lp).tolist()))
 
 
 def test_t_tracks_w_with_second_order_drift(table):

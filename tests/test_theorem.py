@@ -305,6 +305,24 @@ def test_q_integral_smooth_part_against_mpmath(table):
                 assert smooth == pytest.approx(float(want), rel=1e-13), (y, a)
 
 
+def test_q_integral_parts_round_once():
+    # at y = 4,529,019.46, a = 0.2 q_part cancels to -0.270 from sums near
+    # 1e5; each part is the correctly rounded sum of its own float terms
+    y, a = 4529019.46, 0.2
+    big = sieve_primes(4529020)
+    lp = big.log_primes
+    k_end, *roots = big.root_counts(y)
+    primes = np.exp(-a * lp[:k_end]).tolist()
+    tail = [v for k, c in enumerate(roots, start=2) for v in (np.exp(-a * k * lp[:c]) / k).tolist()]
+    b = 1.0 - a
+    smooth = [-math.log(math.log(y) / math.log(2.0)), -int_exp(b * math.log(y)),
+              int_exp(b * math.log(2.0))]
+    q, pi = th.q_integral(y, a, big)
+    assert q == math.fsum(primes + tail + smooth)
+    assert pi == math.fsum(primes + smooth)
+    assert q == pytest.approx(-0.270, abs=5e-4)
+
+
 def test_q_integral_gap_profile(table):
     # frozen gap values at the corners of the (y, alpha) grid; the k>=2 tail
     # grows like y^(1/2-a)/((1-2a) log y), which outruns the stated budget
