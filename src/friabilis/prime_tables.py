@@ -35,6 +35,9 @@ _MAX_LIMIT = 10**9
 # exact_sum bins 27-bit mantissa halves; float64 bin totals stay exact below
 # 2^53, so at most 2^26 terms go into one binning
 _CHUNK = 1 << 26
+# below this many terms math.fsum of the list is the faster of the two
+# (about 30 us of numpy calls against 0.6 us at 3 terms, 39 us at 1000)
+_FSUM_BELOW = 1 << 10
 
 
 def exact_sum(arr) -> float:
@@ -44,11 +47,14 @@ def exact_sum(arr) -> float:
     two 27-bit halves are summed per exponent by np.bincount, exactly, and
     the few exponent bins are combined in Python ints and rounded once, by
     one int / 2^k division (an exponent-indexed accumulator, as in Neal 2015,
-    arXiv:1505.05571).  Non-finite terms, and sums that could overflow on the
-    way, go to math.fsum itself, so the value or error is the one it gives.
+    arXiv:1505.05571).  Short arrays, non-finite terms, and sums that could
+    overflow on the way go to math.fsum itself, so the value or error is the
+    one it gives.
     """
     v = np.asarray(arr, dtype=np.float64).ravel()
     n = len(v)
+    if n < _FSUM_BELOW:
+        return math.fsum(v.tolist())
     parts = []  # (integer c, exponent k) for c 2^k
     for start in range(0, n, _CHUNK):
         m, e = np.frexp(v[start:start + _CHUNK])

@@ -338,8 +338,11 @@ def test_exact_sum_over_2_20_terms():
 
 def test_exact_sum_non_finite_as_fsum():
     inf, nan = math.inf, math.nan
+    filler = np.linspace(-1.0, 3.0, 3000)  # long enough for the binned path
     for v in ([1.0, nan], [inf, 1.0, 2.0], [-inf, 5.0], [inf, -inf], [nan, inf, -inf],
               [inf, inf], [nan], [1e308, 1e308, -1e308], [1.7e308, 1.7e308]):
         _same_as_fsum(np.array(v))
+        _same_as_fsum(np.concatenate([v, filler]))
+        _same_as_fsum(np.concatenate([filler, v]))
     with pytest.raises(ValueError):
         exact_sum(np.array([inf, 1.0, -inf]))
