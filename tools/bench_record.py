@@ -4,12 +4,13 @@
     python3 tools/bench_record.py --n 10 --label parent --checkout ../parent-clone
 
 Runs `perfbench/run.py` of the checkout (default: this repository) for each
-workload at --trace 0 and --trace 1, then times the tier-1 test command
-there. The block holds each workload's end-to-end and per-layer metrics,
-`correct`/`failed` and run.py's provenance of the traced run, the `cli`
-per-command medians, and the tier-1 wall time and summary line. It is written under
-blocks[label] of BENCH_<n>.json at the root of this repository; blocks
-already in the file are kept, so two checkouts can share one file.
+workload at --trace 0 and --trace 1 (seed 1, 20 s), then times the tier-1
+test command there. The block holds each workload's end-to-end and
+per-layer metrics, `correct`/`failed` and run.py's provenance of the traced
+run, the `cli` per-command medians, and the tier-1 wall time and summary
+line. It is written under blocks[label] of BENCH_<n>.json at the root of
+this repository; blocks already in the file are kept, so two checkouts can
+share one file.
 """
 
 import argparse
@@ -21,6 +22,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("count_int64", "count_huge", "analytic", "cli")
+SEED, SECONDS = 1, 20.0
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -32,14 +34,14 @@ def _env(checkout):
     return env
 
 
-def _run_bench(checkout, workload, seed, seconds, trace):
+def _run_bench(checkout, workload, trace):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
     path = os.path.join(checkout, "perfbench", "results",
-                        f"{workload}-seed{seed}-trace{trace}.json")
+                        f"{workload}-seed{SEED}-trace{trace}.json")
     with open(path) as fh:
         return json.load(fh)
 
@@ -56,11 +58,11 @@ def _values(metrics):
     return {name: m["value"] for name, m in metrics.items()}
 
 
-def record(checkout, seed, seconds):
-    block = {"workloads": {}}
+def record(checkout):
+    block = {"workloads": {}, "seed": SEED, "seconds": SECONDS}
     for workload in WORKLOADS:
-        e2e = _run_bench(checkout, workload, seed, seconds, 0)
-        layers = _run_bench(checkout, workload, seed, seconds, 1)
+        e2e = _run_bench(checkout, workload, 0)
+        layers = _run_bench(checkout, workload, 1)
         entry = {"correct": e2e["correct"] and layers["correct"],
                  "failed": e2e["failed"] + layers["failed"],
                  "end_to_end": _values(e2e["metrics"]),
@@ -70,7 +72,6 @@ def record(checkout, seed, seconds):
             entry["cmd_median_s"] = e2e["cell_median_s"]
         block["workloads"][workload] = entry
     block["tier1"] = _tier1(checkout)
-    block["seed"], block["seconds"] = seed, seconds
     return block
 
 
@@ -79,10 +80,8 @@ def main():
     ap.add_argument("--n", type=int, required=True, help="BENCH file number")
     ap.add_argument("--label", required=True, help="block name, e.g. parent or change")
     ap.add_argument("--checkout", default=ROOT, help="checkout to measure (default: this one)")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args()
-    block = record(os.path.abspath(args.checkout), args.seed, args.seconds)
+    block = record(os.path.abspath(args.checkout))
     path = os.path.join(ROOT, f"BENCH_{args.n}.json")
     data = {"blocks": {}}
     if os.path.exists(path):
