@@ -263,12 +263,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"friabilis {__version__}")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, default_format="plain"):
+    def common(sp, default_format="plain", sieve=True):
+        # rho and xi build no prime table, so they take no --max-sieve
         sp.add_argument("--format", choices=("plain", "csv", "json"),
                         default=default_format)
         sp.add_argument("--output", default=None, metavar="PATH")
-        sp.add_argument("--max-sieve", type=_finite, default=1e8,
-                        help="largest prime table / sieve bound (default 1e8)")
+        if sieve:
+            sp.add_argument("--max-sieve", type=_finite, default=1e8,
+                            help="largest prime table / sieve bound (default 1e8)")
 
     def x_args(sp):
         sp.add_argument("--x", type=str, default=None,
@@ -285,11 +287,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--log", action="store_true", help="print log rho instead")
     sp.add_argument("--export-grid", default=None, metavar="PATH",
                     help="write the rho grid as CSV (- for stdout)")
-    common(sp)
+    common(sp, sieve=False)
 
     sp = sub.add_parser("xi", help="xi(u): the nonzero root of e^xi = 1 + u xi")
     sp.add_argument("--u", type=_finite, required=True)
-    common(sp)
+    common(sp, sieve=False)
 
     sp = sub.add_parser("alpha", help="saddle point alpha(x, y)")
     x_args(sp)

@@ -31,13 +31,24 @@ class PsiResult:
     boundary_ambiguous: int = 0
 
 
-def _preflight(log_x: float, table: PrimeTable, y: float, max_count: float,
-               log_primes: np.ndarray) -> None:
+# guard-band half-width eps = _GUARD (1 + log x): millions of ulps of log x
+_GUARD = 1e-9
+
+
+def _preflight(log_x: float, table: PrimeTable, y: float, max_count: float) -> int:
+    """The number of primes up to min(y, x e^eps), if the count is admitted.
+
+    ResourceError names the bound when the powers of 2 up to x alone pass
+    max_count, or min(saddle estimate, proven product bound) does. The one
+    admission rule: psi_enumerate and theorem.largest_feasible_log_x ask it.
+    """
+    eps = _GUARD * (1.0 + log_x)
+    k = min(table.pi(y), int(np.searchsorted(table.log_primes, log_x + eps, side="right")))
     if not max_count > 0:
         raise DomainError(f"max_count must be positive, got {max_count}")
     # proven from below and needing no saddle: the powers of 2 up to x are
     # y-friable, and there are floor(log x / log 2) + 1 of them
-    low = float(np.floor(log_x / math.log(2.0) - 1e-9 * (1.0 + log_x))) + 1.0
+    low = float(np.floor(log_x / math.log(2.0) - eps)) + 1.0
     if low > max_count:
         raise ResourceError(
             f"the {low:.3g} powers of 2 up to x alone exceed the cap {max_count:.3g}",
@@ -48,14 +59,14 @@ def _preflight(log_x: float, table: PrimeTable, y: float, max_count: float,
     est_log = psi_saddle(log_x, table, y) if u >= 2.0 else log_x
     # proven: a y-friable n <= x is prod p^e with e <= log x / log p, so the
     # count is at most prod_{p <= y} (1 + floor(log x / log p)); exact at
-    # y = 2, where the saddle estimate is far off. log_primes holds the logs
-    # of the primes up to min(y, x e^eps); those above x add log 1 = 0.
-    est_log = min(est_log, float(np.log1p(np.floor(log_x / log_primes)).sum()))
+    # y = 2, where the saddle estimate is far off. Primes above x add log 1 = 0.
+    est_log = min(est_log, float(np.log1p(np.floor(log_x / table.log_primes[:k])).sum()))
     if est_log > math.log(max_count):
         raise ResourceError(
             f"estimated count exp({est_log:.2f}) exceeds the cap {max_count:.3g}",
             estimate=math.exp(min(est_log, 700.0)),
         )
+    return k
 
 
 def _sorted(logs, ids):
@@ -137,19 +148,19 @@ class _Friables:
 
 
 def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
-                  eps_guard=None, max_count=10**8) -> PsiResult:
+                  max_count=10**8) -> PsiResult:
     """Count y-friable n with log n <= log_x by meet in the middle.
 
     The primes up to y are split between two sets: A takes them from the
     bottom and B from the top, the next prime always going to whichever
     set is smaller now. Each set holds its friable integers with log at
-    most hi_gate = log_x + eps_guard, so both stay below the count that
-    the preflight caps. Every friable n <= x is one product a * b, and
-    for each b two searchsorted gates on the sorted logs of A split A:
-    below lo_gate - log b the product counts; above hi_gate - log b it
-    does not; in between it is a guard-band hit. With x_exact given a hit
-    is settled by a * b <= x_exact in Python ints; otherwise it counts
-    iff log a + log b <= log_x. The hits are tallied in
+    most hi_gate = log_x + eps, eps = 1e-9 (1 + log_x), so both stay below
+    the count that _preflight caps. Every friable n <= x is one product
+    a * b, and for each b two searchsorted gates on the sorted logs of A
+    split A: below lo_gate - log b the product counts; above hi_gate -
+    log b it does not; in between it is a guard-band hit. With x_exact
+    given a hit is settled by a * b <= x_exact in Python ints; otherwise
+    it counts iff log a + log b <= log_x. The hits are tallied in
     boundary_ambiguous either way.
     """
     y = float(y)
@@ -166,14 +177,10 @@ def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
     log_x = float(log_x)
     if log_x < 0.0:
         raise DomainError(f"psi_enumerate needs log_x >= 0, got {log_x}")
-    eps = 1e-9 * (1.0 + log_x) if eps_guard is None else float(eps_guard)
-    if eps <= 0.0:
-        raise DomainError(f"eps_guard must be positive, got {eps}")
+    k = _preflight(log_x, table, y, float(max_count))
+    eps = _GUARD * (1.0 + log_x)
     lo_gate = log_x - eps
     hi_gate = log_x + eps
-    # a prime above x e^eps divides no member of either set
-    k = min(table.pi(y), int(np.searchsorted(table.log_primes, hi_gate, side="right")))
-    _preflight(log_x, table, y, float(max_count), table.log_primes[:k])
     ps = table.primes[:k].tolist()
     lp = table.log_primes[:k].tolist()
     a, b = _Friables(hi_gate), _Friables(hi_gate)
@@ -203,13 +210,17 @@ def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
                      boundary_ambiguous=hits)
 
 
-def psi_sieve(x, y, *, max_x=10**8, segment=1 << 20) -> PsiResult:
+_SEGMENT = 1 << 20  # numbers per psi_sieve segment
+
+
+def psi_sieve(x, y, *, max_x=10**8) -> PsiResult:
     """Count by multiplying every prime power p^j <= x into an array of ones.
 
     Entry n collects p once for each p^j dividing it, so after all primes
     <= y it holds the y-friable part of n, and n is y-friable exactly when
     the entry equals n. That part is at most n, so int32 holds it while
-    x < 2^31. Segments keep memory flat.
+    x < 2^31. Segments of _SEGMENT numbers keep memory flat; an x above
+    max_x raises ResourceError.
     """
     x = int(x)
     y = float(y)
@@ -225,8 +236,8 @@ def psi_sieve(x, y, *, max_x=10**8, segment=1 << 20) -> PsiResult:
     dtype = np.int32 if x < 2**31 else np.int64
     plist = sieve_primes(max(int(y), 2)).primes.tolist()
     count = 0
-    for lo in range(1, x + 1, segment):
-        hi = min(lo + segment, x + 1)
+    for lo in range(1, x + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, x + 1)
         acc = np.ones(hi - lo, dtype=dtype)
         for p in plist:
             q = p

@@ -18,10 +18,8 @@ import numpy as np
 from .dickman import RHO_U_MAX, int_exp, rho
 from .errors import DomainError, RangeError, ResourceError
 from .prime_tables import PrimeTable, exact_sum
-from .psi_exact import psi_enumerate
-from .saddle import SaddleState, prime_power_sums, psi_saddle, solve_alpha
-
-REGIMES = ("c_lt_1", "c_eq_1", "c_in_1_2")
+from .psi_exact import _preflight, psi_enumerate
+from .saddle import SaddleState, prime_power_sums, solve_alpha
 
 # y > e^e keeps log log log y positive (oscillation normalizer)
 _MIN_OSC_Y = math.exp(math.e)
@@ -145,21 +143,20 @@ def regime_y(log_x: float, c: float) -> float:
 
 
 def regime_record(log_x: float, c: float, table: PrimeTable, *,
-                  x_exact=None, max_count: float = 10**8,
-                  eps_guard=None) -> RegimeRecord:
+                  x_exact=None, max_count: float = 10**8) -> RegimeRecord:
     """Evaluate both sides of the regime comparison at one (x, c) point.
 
     measured_gap uses only the exact count and dickman.rho; predicted_gap
     uses only closed forms and the saddle state, so the two sides stay
     independent.  x_exact (an int) resolves guard-band points exactly when
-    the caller knows x beyond its logarithm.
+    the caller knows x beyond its logarithm; psi_enumerate refuses a count
+    over max_count.
     """
     regime = classify_regime(c)
     y = regime_y(log_x, c)
     u = log_x / math.log(y)
     state = solve_alpha(log_x, table, y)
-    count = psi_enumerate(log_x, table, y, x_exact=x_exact,
-                          max_count=max_count, eps_guard=eps_guard)
+    count = psi_enumerate(log_x, table, y, x_exact=x_exact, max_count=max_count)
     lpsi = math.log(count.count)
     lxr = log_x + rho(u)
     return RegimeRecord(
@@ -202,17 +199,15 @@ def largest_feasible_log_x(c: float, table: PrimeTable, *,
     """Largest log x whose regime record at this c stays within budget.
 
     Feasible means: y = (log x)^c within the prime table, u within the range
-    of dickman.rho, and the saddle estimate of Psi at most max_count.  All three
-    constraints tighten monotonically in log x, so doubling plus bisection
-    finds the frontier.  Used by scans when the caller names only c.  When
-    log x = 9 is already infeasible, the error names the bound that fails
-    there: a ResourceError when it is the prime table or max_count (caps),
-    a DomainError when y = 9^c lies below 2.
+    of dickman.rho, and a count that psi_enumerate admits under max_count
+    (psi_exact._preflight decides).  All three tighten monotonically in
+    log x, so doubling plus bisection, until mid rounds to lo or hi, finds
+    the frontier.  Used by scans when the caller names only c.  When
+    log x = 9 is already infeasible, the error names the first bound that
+    fails there: a ResourceError for the prime table or the count (caps),
+    a DomainError for y = 9^c below 2 or a max_count that is not positive.
     """
     classify_regime(c)
-    if not max_count > 0:
-        raise DomainError(f"max_count must be positive, got {max_count}")
-    target = math.log(max_count)
 
     def broken(lx: float):
         # the first bound that log x = lx breaks, as (error type, message), or None
@@ -224,10 +219,10 @@ def largest_feasible_log_x(c: float, table: PrimeTable, *,
         u = lx / math.log(y)
         if u > RHO_U_MAX:
             return RangeError, f"u = {u:.3g} lies beyond rho's range {RHO_U_MAX:g}"
-        est = psi_saddle(lx, table, y)
-        if est > target:
-            return ResourceError, (f"estimated count exp({est:.2f}) exceeds"
-                                   f" max_count {max_count:.3g}")
+        try:
+            _preflight(lx, table, y, max_count)
+        except ResourceError as exc:
+            return ResourceError, str(exc)
         return None
 
     lo = 9.0
@@ -238,8 +233,7 @@ def largest_feasible_log_x(c: float, table: PrimeTable, *,
     while broken(hi) is None:
         lo = hi
         hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if broken(mid) is None:
             lo = mid
         else:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from buchstab_recursion import buchstab_recursion
 
+from friabilis import psi_exact
 from friabilis.errors import DomainError, ResourceError
 from friabilis.prime_tables import sieve_primes
 from friabilis.psi_exact import _Friables, psi_buchstab, psi_enumerate, psi_sieve
@@ -174,14 +175,14 @@ def test_monotonicity(table):
 # --- guard band --------------------------------------------------------------------
 
 
-def test_guard_band_exact_resolution(table):
+def test_guard_band_exact_resolution(table, monkeypatch):
     # 100 = 2^2 * 5^2 sits exactly on the boundary: one band hit, resolved in
     r = psi_enumerate(None, table, 5.0, x_exact=100)
     assert r.count == 34
     assert r.boundary_ambiguous == 1
     # doubling the guard band must not change the exact count
-    wide = psi_enumerate(math.log(100.0), table, 5.0, x_exact=100,
-                         eps_guard=2e-9 * (1.0 + math.log(100.0)))
+    monkeypatch.setattr(psi_exact, "_GUARD", 2e-9)
+    wide = psi_enumerate(math.log(100.0), table, 5.0, x_exact=100)
     assert wide.count == 34
     assert wide.boundary_ambiguous >= 1
 
@@ -198,7 +199,7 @@ def test_guard_band_without_exact_x(table):
     assert amb.count in (33, 34)
 
 
-def test_guard_band_big_integer_path(table):
+def test_guard_band_big_integer_path(table, monkeypatch):
     # x beyond 1e18 exercises big-int resolution; log-only run must agree
     x = 10**40
     a = psi_enumerate(None, table, 7.0, x_exact=x)
@@ -206,8 +207,8 @@ def test_guard_band_big_integer_path(table):
     # 10^40 = 2^40 * 5^40 is itself a lattice point: resolved in exactly
     assert a.boundary_ambiguous == 1
     assert a.count - b.count in (0, 1)
-    wide = psi_enumerate(None, table, 7.0, x_exact=x,
-                         eps_guard=2e-9 * (1.0 + math.log(x)))
+    monkeypatch.setattr(psi_exact, "_GUARD", 2e-9)  # the band doubled
+    wide = psi_enumerate(None, table, 7.0, x_exact=x)
     assert wide.count == a.count
 
 
@@ -288,8 +289,6 @@ def test_enumerate_domain_errors(table):
         psi_enumerate(-0.1, table, 5.0)
     with pytest.raises(DomainError):
         psi_enumerate(None, table, 5.0)
-    with pytest.raises(DomainError):
-        psi_enumerate(3.0, table, 5.0, eps_guard=0.0)
     for cap in (0, -5, math.nan):
         with pytest.raises(DomainError):
             psi_enumerate(3.0, table, 5.0, max_count=cap)
@@ -313,12 +312,13 @@ def test_y_just_past_the_table():
             == psi_enumerate(None, small, 100.0, x_exact=10**8).count)
 
 
-def test_sieve_caps_and_segments(table):
+def test_sieve_caps_and_segments(table, monkeypatch):
     with pytest.raises(ResourceError):
         psi_sieve(2 * 10**8, 100.0)
     ref = psi_sieve(10**6, 100.0).count
     assert ref == 72271
-    assert psi_sieve(10**6, 100.0, segment=1000).count == ref
+    monkeypatch.setattr(psi_exact, "_SEGMENT", 1000)
+    assert psi_sieve(10**6, 100.0).count == ref
 
 
 def test_buchstab_caps(table):

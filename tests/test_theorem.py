@@ -9,9 +9,10 @@ import pytest
 import scipy.integrate
 
 from friabilis.dickman import EULER_GAMMA, int_exp
-from friabilis.errors import DomainError, RangeError
+from friabilis.errors import DomainError, RangeError, ResourceError
 from friabilis.prime_tables import sieve_primes
 from friabilis.saddle import solve_alpha, zeta_partial
+from friabilis import psi_exact, saddle
 from friabilis import theorem as th
 
 
@@ -142,13 +143,40 @@ def test_regime_record_side_condition_flag(table):
     assert math.isfinite(r.measured_gap)
 
 
-def test_regime_purity_under_guard_band(table):
+def test_regime_purity_under_guard_band(table, monkeypatch):
     lx = math.log(1e9)
     a = th.regime_record(lx, 1.0, table, x_exact=10**9)
-    b = th.regime_record(lx, 1.0, table, x_exact=10**9,
-                         eps_guard=2e-9 * (1.0 + lx))
+    monkeypatch.setattr(psi_exact, "_GUARD", 2e-9)  # the band doubled
+    b = th.regime_record(lx, 1.0, table, x_exact=10**9)
     assert b.predicted_gap == a.predicted_gap
     assert b.measured_gap == a.measured_gap
+
+
+@pytest.mark.parametrize("c", [0.7, 1.0, 1.2, 1.5])
+def test_feasible_limit_is_the_enumerator_rule(c, table):
+    # the auto-mode limit is the last log x that psi_enumerate's own
+    # admission rule accepts: one ulp further it refuses
+    lx = th.largest_feasible_log_x(c, table, max_count=1e5)
+    assert psi_exact._preflight(lx, table, lx ** c, 1e5) > 0
+    nxt = math.nextafter(lx, math.inf)
+    with pytest.raises(ResourceError):
+        psi_exact._preflight(nxt, table, nxt ** c, 1e5)
+
+
+def test_feasible_limit_probes_each_point_once(table, monkeypatch):
+    # the bisection stops once its midpoint rounds to an end, so no alpha
+    # solve repeats a (log x, y) already tried
+    calls = []
+    real = saddle.solve_alpha
+
+    def counted(log_x, table, y):
+        calls.append((log_x, y))
+        return real(log_x, table, y)
+
+    monkeypatch.setattr(saddle, "solve_alpha", counted)
+    th.largest_feasible_log_x(1.2, table, max_count=1e6)
+    assert len(set(calls)) == len(calls)
+    assert len(calls) <= 60
 
 
 def test_eq6_lower_bound_shape(table):
