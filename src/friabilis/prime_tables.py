@@ -6,8 +6,9 @@ the exact integer roots of t, Chebyshev psi(t), the logarithmic integral
 li(t) (principal value, as Ei(log t) from its series), the weighted
 prime-power count Pi(t) = sum pi(t^{1/k})/k, and the two remainders
 r(t) = psi(t) - t and q(t) = Pi(t) - li(t).  exact_sum gives math.fsum's
-correctly rounded value of a float array without a Python list; every
-prime sum of the package goes through it.
+correctly rounded value of a float array without a Python list, by
+error-free extraction in a few numpy passes; every prime sum of the
+package goes through it.
 
 Code that does exact integer arithmetic on primes takes them as Python
 ints, through ``table.primes[:k].tolist()``: int64 products wrap silently.
@@ -32,50 +33,54 @@ _SEGMENT = 1 << 20
 
 _MAX_LIMIT = 10**9
 
-# exact_sum bins 27-bit mantissa halves; float64 bin totals stay exact below
-# 2^53, so at most 2^26 terms go into one binning
-_CHUNK = 1 << 26
-# below this many terms math.fsum of the list is the faster of the two
-# (about 30 us of numpy calls against 0.6 us at 3 terms, 39 us at 1000)
-_FSUM_BELOW = 1 << 10
+# exact_sum extracts one block at a time, so that the block and its two
+# work buffers stay in cache: a 664,579-term prime sum takes 4.4 ms in
+# blocks of 2^15 or 2^16 terms, 6.6 ms in 2^13 or 2^18, 12 ms in one piece
+_BLOCK = 1 << 15
+# below this many terms math.fsum of the list is the faster of the two; on
+# prime sums (microseconds, list against extraction): 21/33 at 512 terms,
+# 31/33 at 768, 36/33 at 896, 41/34 at 1024, 82/37 at 2048
+_FSUM_BELOW = 800
 
 
 def exact_sum(arr) -> float:
     """math.fsum(arr.tolist()), correctly rounded, without the list.
 
-    Each float is m 2^e with m an integer of at most 53 bits (np.frexp); its
-    two 27-bit halves are summed per exponent by np.bincount, exactly, and
-    the few exponent bins are combined in Python ints and rounded once, by
-    one int / 2^k division (an exponent-indexed accumulator, as in Neal 2015,
-    arXiv:1505.05571).  Short arrays, non-finite terms, and sums that could
-    overflow on the way go to math.fsum itself, so the value or error is the
-    one it gives.
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008): for a block of n
+    terms r take M with 2^M > n + 2, e with max|r| < 2^e and sigma =
+    2^(e+M); q = (sigma + r) - sigma and r - q are exact, every q is a
+    multiple of 2^(e+M-53) and |sum q| < sigma, so q.sum() is exact in any
+    order.  Each pass takes about 53 - M bits off r; when r is all zero
+    the exact pass sums go to math.fsum, which rounds their total once.
+    Short arrays, non-finite terms and terms of 2^(1022-M) or more (M taken
+    from the whole array, so no partial sum can overflow) go to math.fsum
+    itself, so the value or error is the one it gives.
     """
     v = np.asarray(arr, dtype=np.float64).ravel()
     n = len(v)
     if n < _FSUM_BELOW:
         return math.fsum(v.tolist())
-    parts = []  # (integer c, exponent k) for c 2^k
-    for start in range(0, n, _CHUNK):
-        m, e = np.frexp(v[start:start + _CHUNK])
-        with np.errstate(invalid="ignore"):  # inf and nan reach math.fsum below
-            m *= 2.0**53                     # integer mantissas, |m| < 2^53
-            hi = np.trunc(m * 2.0**-27)
-            m -= hi * 2.0**27                # low halves, |m| < 2^27
-        base = int(e.min())
-        e -= base
-        hs = np.bincount(e, weights=hi)
-        ls = np.bincount(e, weights=m)
-        if (not (np.isfinite(hs).all() and np.isfinite(ls).all())
-                or base + int(e.max()) + n.bit_length() > 1023):
-            return math.fsum(v.tolist())
-        parts += [((int(h) << 27) + int(lo), base + j - 53)
-                  for j, (h, lo) in enumerate(zip(hs.tolist(), ls.tolist())) if h or lo]
-    if not parts:
-        return 0.0
-    low = min(k for _, k in parts)
-    total = sum(c << (k - low) for c, k in parts)
-    return total / (1 << -low) if low < 0 else float(total << low)
+    cap = 2.0 ** (1022 - (n + 2).bit_length())
+    q, r = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    parts = []
+    for start in range(0, n, _BLOCK):
+        block = v[start:start + _BLOCK]
+        m = (len(block) + 2).bit_length()
+        qb, rb = q[:len(block)], r[:len(block)]
+        while True:
+            hi, lo = float(block.max()), float(block.min())
+            if not (-cap < lo and hi < cap):  # nan fails both
+                return math.fsum(v.tolist())
+            if hi == lo == 0.0:
+                break
+            sigma = math.ldexp(1.0, math.frexp(max(hi, -lo))[1] + m)
+            np.add(block, sigma, out=qb)
+            qb -= sigma
+            np.subtract(block, qb, out=rb)
+            parts.append(float(qb.sum()))
+            block = rb
+    return math.fsum(parts)
 
 
 @dataclass

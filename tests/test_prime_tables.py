@@ -8,6 +8,8 @@ from scipy.integrate import quad
 from friabilis.errors import DomainError, RangeError, ResourceError
 from friabilis.prime_tables import (
     LI2,
+    _BLOCK,
+    _FSUM_BELOW,
     _SEGMENT,
     _iroot,
     big_pi,
@@ -329,6 +331,48 @@ def test_exact_sum_matches_fsum_bitwise():
     _same_as_fsum(np.array([1.0, 2.0**-53]))
 
 
+def test_exact_sum_vector_path_rounds_as_fsum():
+    # the half-way cases above again, spread over zeros so that they take
+    # the extraction path, within one block and across blocks
+    cases = ([1.0, 2.0**-53], [1.0, 2.0**-53, 2.0**-106], [1.0, -(2.0**-53)],
+             [1.0 + 2.0**-52, 2.0**-53],  # a tie that rounds up, to even
+             [2.0**60, 1e-300, -(2.0**60)], [-(2.0**60), 1e-300, 2.0**60, -1e-300, 3e-300])
+    for terms in cases:
+        for n in (_FSUM_BELOW, 2000, 3 * _BLOCK):
+            for spread in (False, True):
+                v = np.zeros(n)
+                step = n // len(terms) if spread else 1
+                v[::step][: len(terms)] = terms
+                _same_as_fsum(v)
+                _same_as_fsum(v[::-1].copy())
+    _same_as_fsum(np.full(2000, -0.0))
+    _same_as_fsum(np.concatenate([np.full(2000, -0.0), [-(2.0**-1074)]]))
+
+
+def test_exact_sum_overflow_guard(monkeypatch):
+    # at n = 2000 terms (M = 11) the extraction takes terms below 2^1011;
+    # from there on math.fsum of the list decides, whether or not it overflows
+    n = 2000
+    limit = 2.0 ** (1022 - (n + 2).bit_length())
+    calls = []
+    frexp = math.frexp
+
+    def counting(x):
+        calls.append(1)
+        return frexp(x)
+
+    monkeypatch.setattr(math, "frexp", counting)
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+    for top, extracted in ((np.nextafter(limit, 0.0), True), (limit, False),
+                           (np.nextafter(limit, math.inf), False), (4.0 * limit, False)):
+        for v in (np.full(n, top), top * signs, np.concatenate([[top] * (n - 2), [-top, 1.0]]),
+                  np.linspace(-top, top, n), np.linspace(0.0, top, n)):
+            calls.clear()
+            _same_as_fsum(v)
+            _same_as_fsum(-v)
+            assert bool(calls) == extracted, (top, v[:3])
+
+
 def test_exact_sum_over_2_20_terms():
     rng = np.random.default_rng(20)
     v = rng.standard_normal((1 << 20) + 3) * 10.0 ** rng.uniform(-8.0, 8.0, (1 << 20) + 3)
@@ -338,7 +382,7 @@ def test_exact_sum_over_2_20_terms():
 
 def test_exact_sum_non_finite_as_fsum():
     inf, nan = math.inf, math.nan
-    filler = np.linspace(-1.0, 3.0, 3000)  # long enough for the binned path
+    filler = np.linspace(-1.0, 3.0, 3000)  # long enough for the extraction path
     for v in ([1.0, nan], [inf, 1.0, 2.0], [-inf, 5.0], [inf, -inf], [nan, inf, -inf],
               [inf, inf], [nan], [1e308, 1e308, -1e308], [1.7e308, 1.7e308]):
         _same_as_fsum(np.array(v))

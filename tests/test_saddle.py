@@ -12,7 +12,7 @@ import pytest
 
 from friabilis.dickman import int_exp, xi
 from friabilis.errors import DomainError, RangeError
-from friabilis.prime_tables import sieve_primes
+from friabilis.prime_tables import _BLOCK, exact_sum, sieve_primes
 from friabilis.saddle import (
     alpha_approx,
     f_at_beta_identity,
@@ -178,6 +178,31 @@ def test_alpha_passes_per_solve(table, monkeypatch):
             calls.clear()
             solve_alpha(log_x, table, y)
             assert 2 <= len(calls) <= 12, (y, u, len(calls))
+
+
+def test_exact_sum_passes_per_block(table, monkeypatch):
+    # each extraction pass over a block reads its exponent with one
+    # math.frexp call; prime sums take 2 or 3 passes per block
+    calls = []
+    frexp = math.frexp
+
+    def counting(x):
+        calls.append(1)
+        return frexp(x)
+
+    lp = table.log_primes
+    blocks = -(-len(lp) // _BLOCK)
+    monkeypatch.setattr(math, "frexp", counting)
+    for s in (0.2, 1.0, 2.5):
+        for terms in (np.exp(-s * lp), -np.log1p(-np.exp(-s * lp)), np.exp(-2.0 * s * lp)):
+            calls.clear()
+            exact_sum(terms)
+            assert blocks <= len(calls) <= 3 * blocks, (s, len(calls))
+    for u in (2.0, 0.5):
+        # the residual of the solution is the one exact_sum of a solve
+        calls.clear()
+        solve_alpha(u * math.log(1e6), table, 1e6)
+        assert blocks <= len(calls) <= 3 * blocks, (u, len(calls))
 
 
 def test_alpha_stops_at_rounding_noise(table, monkeypatch):

@@ -1,28 +1,38 @@
-"""Record one checkout's benchmark numbers as a block of BENCH_<n>.json.
+"""Record a parent checkout and this repository, in alternating pairs, as BENCH_<n>.json.
 
-    python3 tools/bench_record.py --n 10 --label change
-    python3 tools/bench_record.py --n 10 --label parent --checkout ../parent-clone
+    python3 tools/bench_record.py --n 12 --parent ../parent-checkout
 
-Runs `perfbench/run.py` of the checkout (default: this repository) for each
-workload at --trace 0 and --trace 1 (seed 1, 20 s), then times the tier-1
-test command there. The block holds each workload's end-to-end and
-per-layer metrics, `correct`/`failed` and run.py's provenance of the traced
-run, the `cli` per-command medians, and the tier-1 wall time and summary
-line. It is written under blocks[label] of BENCH_<n>.json at the root of
-this repository; blocks already in the file are kept, so two checkouts can
-share one file.
+For each workload, runs `perfbench/run.py --trace 0` in PAIRS pairs: one run
+in the parent checkout and one in this repository (the change), with the
+pair's own seed (1 to PAIRS) on both sides and the side that runs first
+alternating from pair to pair. Then one `--trace 1` run per side and
+workload gives the per-layer metrics and the self time of every span
+(`perfbench/spans.self_times` over the run's spans file), and the tier-1
+test command is timed once per side. Every run takes SECONDS.
+
+BENCH_<n>.json, at the root of this repository, holds under blocks[side]
+each workload's end-to-end metrics (every run, their median and quartiles),
+`correct`/`failed`/`attempted` over all its runs, the traced run's layer
+metrics, span self times per traced pass and provenance, the `cli`
+per-command medians, and the tier-1 wall time and summary line. Under
+pairs[workload][metric] it counts the pairs in which the change reads
+better and worse, in the direction BENCHMARK.json gives.
 """
 
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from spans import self_times  # noqa: E402
+
 WORKLOADS = ("count_int64", "count_huge", "analytic", "cli")
-SEED, SECONDS = 1, 20.0
+PAIRS, SECONDS = 10, 20.0
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -34,16 +44,24 @@ def _env(checkout):
     return env
 
 
-def _run_bench(checkout, workload, trace):
+def _run_bench(checkout, workload, seed, trace):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
-    path = os.path.join(checkout, "perfbench", "results",
-                        f"{workload}-seed{SEED}-trace{trace}.json")
-    with open(path) as fh:
-        return json.load(fh)
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}: "
+                         f"{proc.stderr[-2000:]}")
+    stem = os.path.join(checkout, "perfbench", "results", f"{workload}-seed{seed}-trace{trace}")
+    with open(stem + ".json") as fh:
+        record = json.load(fh)
+    if trace:
+        with open(stem + ".spans.json") as fh:
+            spans = json.load(fh)["spans"]
+        passes = len(record["samples"]["traced_walls"])
+        # set-up spans (the prime sieve) count once in the totals
+        record["span_self_s"] = {name: [s / passes, calls / passes] for name, (s, calls)
+                                 in sorted(self_times(spans, 0, len(spans)).items())}
+    return record
 
 
 def _tier1(checkout):
@@ -54,44 +72,77 @@ def _tier1(checkout):
     return {"wall_s": wall, "exit": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
-def _values(metrics):
-    return {name: m["value"] for name, m in metrics.items()}
+def _spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def record(checkout):
-    block = {"workloads": {}, "seed": SEED, "seconds": SECONDS}
+def _block(runs, traced):
+    """One side's figures for one workload from its untraced and traced runs."""
+    entry = {"correct": all(r["correct"] for r in runs + [traced]),
+             "failed": sum(r["failed"] for r in runs + [traced]),
+             "attempted": sum(r["attempted"] for r in runs + [traced]),
+             "end_to_end": {name: _spread([r["metrics"][name]["value"] for r in runs])
+                            for name in runs[0]["metrics"]},
+             "layers": {name: m["value"] for name, m in traced["metrics"].items()},
+             "span_self_s": traced["span_self_s"],
+             "provenance": traced["provenance"]}
+    if traced["workload"] == "cli":
+        entry["cmd_median_s"] = {cmd: statistics.median(r["cell_median_s"][cmd] for r in runs)
+                                 for cmd in runs[0]["cell_median_s"]}
+    return entry
+
+
+def record(parent):
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        lower = {m["name"]: m["better"] == "lower" for m in json.load(fh)["end_to_end"]}
+    sides = {"parent": parent, "change": ROOT}
+    blocks = {side: {"workloads": {}} for side in sides}
+    pairs = {}
     for workload in WORKLOADS:
-        e2e = _run_bench(checkout, workload, 0)
-        layers = _run_bench(checkout, workload, 1)
-        entry = {"correct": e2e["correct"] and layers["correct"],
-                 "failed": e2e["failed"] + layers["failed"],
-                 "end_to_end": _values(e2e["metrics"]),
-                 "layers": _values(layers["metrics"]),
-                 "provenance": layers["provenance"]}
-        if workload == "cli":
-            entry["cmd_median_s"] = e2e["cell_median_s"]
-        block["workloads"][workload] = entry
-    block["tier1"] = _tier1(checkout)
-    return block
+        runs = {side: [] for side in sides}
+        for i in range(PAIRS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(_run_bench(sides[side], workload, i + 1, 0))
+            print(f"{workload} pair {i + 1}/{PAIRS}: " + ", ".join(
+                f"{side} wall_s {runs[side][-1]['metrics']['wall_s']['value']:.4g}"
+                for side in sides), file=sys.stderr, flush=True)
+        for side, checkout in sides.items():
+            traced = _run_bench(checkout, workload, 1, 1)
+            blocks[side]["workloads"][workload] = _block(runs[side], traced)
+        pairs[workload] = {}
+        for name, low in lower.items():
+            gaps = [c["metrics"][name]["value"] - p["metrics"][name]["value"]
+                    for p, c in zip(runs["parent"], runs["change"])]
+            pairs[workload][name] = {
+                "change_better": sum(g < 0 if low else g > 0 for g in gaps),
+                "change_worse": sum(g > 0 if low else g < 0 for g in gaps)}
+    for side, checkout in sides.items():
+        blocks[side]["tier1"] = _tier1(checkout)
+    return {"pairs_per_workload": PAIRS, "seconds": SECONDS, "seeds": list(range(1, PAIRS + 1)),
+            "blocks": blocks, "pairs": pairs}
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--n", type=int, required=True, help="BENCH file number")
-    ap.add_argument("--label", required=True, help="block name, e.g. parent or change")
-    ap.add_argument("--checkout", default=ROOT, help="checkout to measure (default: this one)")
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     args = ap.parse_args()
-    block = record(os.path.abspath(args.checkout))
+    data = record(os.path.abspath(args.parent))
     path = os.path.join(ROOT, f"BENCH_{args.n}.json")
-    data = {"blocks": {}}
-    if os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-    data["blocks"][args.label] = block
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"{path}: block {args.label!r}, tier-1 {block['tier1']['summary']!r}")
+    for workload, metrics in data["pairs"].items():
+        for name, won in metrics.items():
+            p = data["blocks"]["parent"]["workloads"][workload]["end_to_end"][name]
+            c = data["blocks"]["change"]["workloads"][workload]["end_to_end"][name]
+            print(f"{workload} {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
+                  f" change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
+                  f" change better in {won['change_better']}/{PAIRS}")
+    print(f"{path}: tier-1 parent {data['blocks']['parent']['tier1']['summary']!r},"
+          f" change {data['blocks']['change']['tier1']['summary']!r}")
     return 0
 
 
