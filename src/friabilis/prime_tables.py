@@ -34,8 +34,9 @@ _SEGMENT = 1 << 20
 _MAX_LIMIT = 10**9
 
 # exact_sum extracts one block at a time, so that the block and its two
-# work buffers stay in cache: a 664,579-term prime sum takes 4.4 ms in
-# blocks of 2^15 or 2^16 terms, 6.6 ms in 2^13 or 2^18, 12 ms in one piece
+# work buffers stay in cache: a 664,579-term prime sum takes 3.2 to 3.9 ms
+# in blocks of 2^15 or 2^16 terms, 4.5 to 6.1 ms in 2^13 or 2^18, 13 ms in
+# one piece (medians of 15 over four such sums, one core of a 2-vCPU VM)
 _BLOCK = 1 << 15
 # below this many terms math.fsum of the list is the faster of the two; on
 # prime sums (microseconds, list against extraction): 21/33 at 512 terms,
@@ -57,10 +58,20 @@ def exact_sum(arr) -> float:
     from the whole array, so no partial sum can overflow) go to math.fsum
     itself, so the value or error is the one it gives.
     """
+    return math.fsum(_exact_parts(arr))
+
+
+def _exact_parts(arr) -> list:
+    """Floats whose exact sum is the exact sum of arr, for math.fsum.
+
+    The pass sums of exact_sum's extraction, or arr's own terms on the
+    short, non-finite and overflow paths.  Parts of several arrays can be
+    joined into one math.fsum, which rounds their joint total once.
+    """
     v = np.asarray(arr, dtype=np.float64).ravel()
     n = len(v)
     if n < _FSUM_BELOW:
-        return math.fsum(v.tolist())
+        return v.tolist()
     cap = 2.0 ** (1022 - (n + 2).bit_length())
     q, r = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
     parts = []
@@ -71,7 +82,7 @@ def exact_sum(arr) -> float:
         while True:
             hi, lo = float(block.max()), float(block.min())
             if not (-cap < lo and hi < cap):  # nan fails both
-                return math.fsum(v.tolist())
+                return v.tolist()
             if hi == lo == 0.0:
                 break
             sigma = math.ldexp(1.0, math.frexp(max(hi, -lo))[1] + m)
@@ -80,7 +91,7 @@ def exact_sum(arr) -> float:
             np.subtract(block, qb, out=rb)
             parts.append(float(qb.sum()))
             block = rb
-    return math.fsum(parts)
+    return parts
 
 
 @dataclass
@@ -159,13 +170,13 @@ def chebyshev_psi(t, table: PrimeTable) -> float:
     """Chebyshev psi(t) = sum of log p over prime powers p^k <= t.
 
     Each p with p^k <= t adds its log once per k, so the terms are the
-    log-prime slices that table.root_counts(t) delimits; one exact_sum over
-    every term rounds the total once.
+    log-prime slices that table.root_counts(t) delimits; one math.fsum over
+    the exact parts of every slice rounds the total once.
     """
     if t < 2:
         raise DomainError(f"chebyshev_psi needs t >= 2, got {t}")
     lp = table.log_primes
-    return exact_sum(np.concatenate([lp[:c] for c in table.root_counts(t)]))
+    return math.fsum(part for c in table.root_counts(t) for part in _exact_parts(lp[:c]))
 
 
 def li(t) -> float:

@@ -29,7 +29,8 @@ class SaddleState:
     solver_residual: float
 
 
-# Newton passes allowed per solve; the closed-form start needs at most about 10
+# Newton passes allowed per solve; from the closed form or from beta a solve
+# needs at most about 10
 _MAX_PASSES = 100
 
 
@@ -44,18 +45,24 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
 
     g(a) = sum log p / (p^a - 1) - log_x is convex and strictly decreasing
     with range (-log_x, inf), so a unique root exists for every log_x > 0,
-    and Newton started left of it climbs to it without crossing.  Newton
-    starts from the closed form log(1 + y/log_x)/log y, and each pass over
-    the log-primes gives g and g' together.  lo (g > 0) and hi (g <= 0)
-    bracket the root; while no hi is known a step at most doubles alpha,
-    and while no lo is known it at most halves it.  The solve stops when the
-    step is at most 1e-15 alpha, or at rounding noise: when Newton leaves a
-    bracket closed on both sides, or when a step fails to shrink
-    quadratically.  For u >= 1/2 it takes 4 to 8 passes (up to 10 for u
-    far below 1), then one more for the correctly rounded residual.  A root
-    below alpha = 1e-18 (log_x = 1e300 at y = 100) is out of the solver's
-    range and raises RangeError; the floor is checked on the result too,
-    since the closed-form start can converge straight to such a root.
+    and Newton started left of it climbs to it without crossing (one step
+    from the right lands left of it).  Newton starts from the larger of the
+    closed form log(1 + y/log_x)/log y and, for u >= 1, beta = 1 - xi(u)/log y,
+    which is alpha + O(1/log y) (Hildebrand & Tenenbaum 1986): at y = 1e6
+    and u from 2 to 100 beta lies within 3e-3 of alpha, the closed form
+    0.05 to 0.15 below it.  Each pass over the log-primes gives g and g'
+    together.  lo (g > 0) and hi (g <= 0) bracket the root; while no hi is
+    known a step at most doubles alpha, and while no lo is known it at most
+    halves it.  The solve stops when the step is at most 1e-15 alpha, or at
+    rounding noise: when Newton leaves a bracket closed on both sides, or
+    when a step fails to shrink quadratically.  For u >= 1/2 it takes 4 to
+    8 passes, 4 where beta starts it at y >= 1e5 and 2 <= u <= 100 (up to
+    10 for u far below 1), then one more for the correctly rounded residual.
+    A root below alpha = 1e-18 (log_x = 1e300 at y = 100) is out of the
+    solver's range and raises RangeError; the floor is checked on the
+    result too, since the start can converge straight to such a root.  A u
+    past xi's range (2.53e305) puts the root below pi(y)/log_x < 1e-290, so
+    it raises the same RangeError before any pass.
     """
     log_x = float(log_x)
     y = float(y)
@@ -65,10 +72,18 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
         raise DomainError(f"solve_alpha needs log_x >= log 2, got {log_x}")
     k = table.pi(y)
     logp = table.log_primes[:k]
+    log_y = math.log(y)
+    u = log_x / log_y
+    try:
+        beta = 1.0 - xi(u).xi / log_y if u >= 1.0 else math.nan
+    except RangeError:
+        raise RangeError(f"alpha(x, y) lies below 1e-18 at log_x={log_x}, y={y}") from None
 
     t = np.empty_like(logp)
     lo, hi = 0.0, math.inf
-    a = math.log1p(y / log_x) / math.log(y)
+    a = math.log1p(y / log_x) / log_y
+    if beta > a:  # NaN or non-positive beta keeps the closed form
+        a = beta
     prev = math.inf
     for _ in range(_MAX_PASSES):
         with np.errstate(over="ignore"):
@@ -105,10 +120,7 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
         raise RangeError(f"alpha(x, y) lies below 1e-18 at log_x={log_x}, y={y}")
 
     residual = exact_sum(_alpha_terms(a, logp)) - log_x
-    log_y = math.log(y)
-    u = log_x / log_y
     c = log_y / math.log(log_x) if log_x > 1.0 else math.nan
-    beta = 1.0 - xi(u).xi / log_y if u >= 1.0 else math.nan
     return SaddleState(log_x=log_x, y=y, u=u, c=c, alpha=a, beta=beta,
                        solver_residual=residual)
 

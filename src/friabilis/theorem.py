@@ -17,9 +17,9 @@ import numpy as np
 
 from .dickman import RHO_U_MAX, int_exp, rho
 from .errors import DomainError, RangeError, ResourceError
-from .prime_tables import PrimeTable, exact_sum
+from .prime_tables import PrimeTable, _exact_parts, exact_sum
 from .psi_exact import _preflight, psi_enumerate
-from .saddle import SaddleState, prime_power_sums, solve_alpha
+from .saddle import SaddleState, solve_alpha
 
 # y > e^e keeps log log log y positive (oscillation normalizer)
 _MIN_OSC_Y = math.exp(math.e)
@@ -179,8 +179,10 @@ def oscillation_record(y: float, c: float, table: PrimeTable, *,
         raise DomainError(f"oscillation regime needs c in (1, 2), got {c}")
     if alpha is None:
         alpha = solve_alpha(y ** (1.0 / c), table, y).alpha
+    elif float(alpha) <= 0.0:
+        raise DomainError(f"oscillation_record needs alpha > 0, got {alpha}")
     ly = math.log(y)
-    s_sum, _ = prime_power_sums(alpha, table, y)
+    s_sum = exact_sum(np.exp(-alpha * table.log_primes[:table.pi(y)]))
     i_term = int_exp((1.0 - alpha) * ly)
     diff = s_sum - i_term
     normalizer = y ** (0.5 - alpha) * math.log(math.log(ly)) / ly
@@ -255,9 +257,10 @@ def q_integral(y: float, alpha: float, table: PrimeTable) -> tuple:
     Ei(b log y) - Ei(b log 2) = log(log y / log 2) + I(b log y) - I(b log 2),
     by Ei(s) = gamma + log s + I(s); the I terms vanish at alpha = 1.  The
     identity needs b >= 0, so alpha must lie in (0, 1].  Each part is one
-    exact_sum over its prime (and tail) terms and the three smooth terms,
-    rounded once, so a part that cancels to near 0 keeps relative accuracy
-    in those float terms.
+    math.fsum over the exact parts of its prime (and tail) terms and the
+    three smooth terms, rounded once, so a part that cancels to near 0
+    keeps relative accuracy in those float terms; the prime terms are
+    extracted once for both parts.
     """
     if not 2.0 <= y:
         raise DomainError(f"need y >= 2, got {y}")
@@ -265,13 +268,13 @@ def q_integral(y: float, alpha: float, table: PrimeTable) -> tuple:
         raise DomainError(f"need 0 < alpha <= 1, got {alpha}")
     lp = table.log_primes
     k_end, *roots = table.root_counts(y)
-    primes = np.exp(-alpha * lp[:k_end])
+    primes = _exact_parts(np.exp(-alpha * lp[:k_end]))
     # (p^k)^(-alpha) / k for the primes p with p^k <= y, k >= 2
-    tail = [np.exp(-alpha * k * lp[:c]) / k for k, c in enumerate(roots, start=2)]
+    tail = [part for k, c in enumerate(roots, start=2)
+            for part in _exact_parts(np.exp(-alpha * k * lp[:c]) / k)]
     log_y, log_2, b = math.log(y), math.log(2.0), 1.0 - alpha
-    smooth = np.array([-math.log(log_y / log_2), -int_exp(b * log_y), int_exp(b * log_2)])
-    return (exact_sum(np.concatenate([primes, *tail, smooth])),
-            exact_sum(np.concatenate([primes, smooth])))
+    smooth = [-math.log(log_y / log_2), -int_exp(b * log_y), int_exp(b * log_2)]
+    return math.fsum(primes + tail + smooth), math.fsum(primes + smooth)
 
 
 # --- CSV plumbing -------------------------------------------------------------------

@@ -200,6 +200,7 @@ BAD_INPUTS = [
     (["oscillate", "--c", "1.5", "--y-min", "0", "--y-max", "1e3", "--y-steps", "3"], 3),
     (["oscillate", "--c", "1.5", "--y-min", "-5", "--y-max", "1e3", "--y-steps", "3"], 3),
     (["alpha", "--log-x", "1e300", "--y", "100"], 3),     # alpha below the solver floor
+    (["alpha", "--log-x", "1.7e308", "--y", "2"], 3),     # u past xi's range, alpha as well
     (["xi", "--u", "1e308"], 3),                          # e^xi passes the largest double
     (["psi", "--log-x", "1e300", "--y", "3"], 4),         # the powers of 2 alone pass the cap
     (["alpha", "--x", "1e10", "--y", "1e300"], 4),        # prime table beyond --max-sieve

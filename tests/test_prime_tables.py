@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from friabilis.prime_tables import (
     _BLOCK,
     _FSUM_BELOW,
     _SEGMENT,
+    _exact_parts,
     _iroot,
     big_pi,
     chebyshev_psi,
@@ -307,7 +309,7 @@ def _same_as_fsum(v):
     assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), (got, want)
 
 
-def test_exact_sum_matches_fsum_bitwise():
+def _fuzz_arrays():
     rng = np.random.default_rng(2015)
     subnormal = math.ulp(0.0)
     for n in (0, 1, 2, 3, 17, 1000, 5000):
@@ -318,17 +320,22 @@ def test_exact_sum_matches_fsum_bitwise():
             tiny = rng.integers(-(2**52), 2**52, n // 3 + 1) * subnormal
             v = np.concatenate([v, tiny, -v[: n // 2], rng.uniform(-1.0, 1.0, n // 4)])
             rng.shuffle(v)
-            _same_as_fsum(v)
-    _same_as_fsum(np.array([]))
+            yield v
+    yield np.array([])
     for x in (0.0, -0.0, 1.0, -math.pi, subnormal, -3 * subnormal, 1.5e300, -2.0**-1074):
-        _same_as_fsum(np.array([x]))
+        yield np.array([x])
     # log-prime style sums: one sign, a narrow band of exponents, and a
     # half-way case that must round to even
     table = sieve_primes(10**5)
-    _same_as_fsum(table.log_primes)
-    _same_as_fsum(np.exp(-0.37 * table.log_primes))
-    _same_as_fsum(np.array([1.0, 2.0**-53, 2.0**-106]))
-    _same_as_fsum(np.array([1.0, 2.0**-53]))
+    yield table.log_primes
+    yield np.exp(-0.37 * table.log_primes)
+    yield np.array([1.0, 2.0**-53, 2.0**-106])
+    yield np.array([1.0, 2.0**-53])
+
+
+def test_exact_sum_matches_fsum_bitwise():
+    for v in _fuzz_arrays():
+        _same_as_fsum(v)
 
 
 def test_exact_sum_vector_path_rounds_as_fsum():
@@ -390,3 +397,54 @@ def test_exact_sum_non_finite_as_fsum():
         _same_as_fsum(np.concatenate([filler, v]))
     with pytest.raises(ValueError):
         exact_sum(np.array([inf, 1.0, -inf]))
+
+
+def _parts_are_exact(v):
+    # the exact sum of the parts is the exact sum of v, and math.fsum of the
+    # parts is math.fsum of v's terms bit for bit, or raises as it does
+    parts = _exact_parts(v)
+    assert all(type(p) is float for p in parts)
+    terms = v.tolist()
+    if all(map(math.isfinite, terms)):
+        assert sum(map(Fraction, parts), Fraction(0)) == sum(map(Fraction, terms), Fraction(0))
+    else:
+        assert np.array_equal(parts, terms, equal_nan=True)  # the terms themselves
+    try:
+        want = math.fsum(terms)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            math.fsum(parts)
+        return
+    got = math.fsum(parts)
+    assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), (got, want)
+
+
+def test_exact_parts_sum_exactly():
+    for v in _fuzz_arrays():
+        _parts_are_exact(v)
+    # the extraction path gives few parts, the short path the terms themselves
+    lp = sieve_primes(10**5).log_primes
+    assert len(_exact_parts(lp)) <= 3 * -(-len(lp) // _BLOCK)
+    assert _exact_parts(lp[:_FSUM_BELOW - 1]) == lp[:_FSUM_BELOW - 1].tolist()
+    # overflow guard at n = 2000 (terms of 2^1011 and up go to the list)
+    n = 2000
+    limit = 2.0 ** (1022 - (n + 2).bit_length())
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+    for top in (np.nextafter(limit, 0.0), limit, 4.0 * limit):
+        for v in (np.full(n, top), top * signs, np.linspace(-top, top, n)):
+            _parts_are_exact(v)
+    inf, nan = math.inf, math.nan
+    filler = np.linspace(-1.0, 3.0, 3000)
+    for v in ([1.0, nan], [inf, 1.0, 2.0], [-inf, 5.0], [inf, -inf], [1e308, 1e308, -1e308]):
+        _parts_are_exact(np.array(v))
+        _parts_are_exact(np.concatenate([filler, v]))
+
+
+def test_chebyshev_psi_against_one_array_sum(table_1e6):
+    # the slices' parts joined in one math.fsum round as one exact_sum over
+    # the concatenated slices does, bit for bit
+    rng = np.random.default_rng(13)
+    lp = table_1e6.log_primes
+    for t in [2, 3, 4, 1000, 4096, 10**6] + rng.uniform(2.0, 1e6, 40).tolist():
+        want = exact_sum(np.concatenate([lp[:c] for c in table_1e6.root_counts(t)]))
+        assert chebyshev_psi(t, table_1e6).hex() == want.hex(), t

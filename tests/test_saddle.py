@@ -152,9 +152,12 @@ def test_alpha_against_fsum_refined_root(table):
 
 def test_alpha_below_floor_is_range_error(table):
     # the closed-form start lies near alpha = 2e-299 here; the floor is
-    # checked on the result, not only on the bracket
-    for log_x, y in ((1e300, 100.0), (1e300, 3.0), (1e40, 1e6)):
-        with pytest.raises(RangeError):
+    # checked on the result, not only on the bracket.  From 1.7e308 on, u
+    # lies beyond xi's range (2.53e305) and beta fails before any pass; the
+    # root lies below pi(y)/log_x there, so it is the same floor RangeError
+    for log_x, y in ((1e300, 100.0), (1e300, 3.0), (1e40, 1e6),
+                     (1.7e308, 2.0), (1.7e308, 1e6), (1e306, 3.0), (math.inf, 100.0)):
+        with pytest.raises(RangeError, match="below 1e-18"):
             solve_alpha(log_x, table, y)
 
 
@@ -178,6 +181,24 @@ def test_alpha_passes_per_solve(table, monkeypatch):
             calls.clear()
             solve_alpha(log_x, table, y)
             assert 2 <= len(calls) <= 12, (y, u, len(calls))
+
+
+def test_alpha_passes_from_beta(table, monkeypatch):
+    # where beta = 1 - xi(u)/log y starts Newton a solve makes 5 np.expm1
+    # calls, the residual included; from the closed form it made 7 or 8
+    calls = []
+    expm1 = np.expm1
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return expm1(*args, **kwargs)
+
+    monkeypatch.setattr(np, "expm1", counting)
+    for y in (1e5, 1e6):
+        for u in (2.0, 10.0, 100.0):
+            calls.clear()
+            solve_alpha(u * math.log(y), table, y)
+            assert len(calls) <= 5, (y, u, len(calls))
 
 
 def test_exact_sum_passes_per_block(table, monkeypatch):

@@ -10,8 +10,8 @@ import scipy.integrate
 
 from friabilis.dickman import EULER_GAMMA, int_exp
 from friabilis.errors import DomainError, RangeError, ResourceError
-from friabilis.prime_tables import sieve_primes
-from friabilis.saddle import solve_alpha, zeta_partial
+from friabilis.prime_tables import exact_sum, sieve_primes
+from friabilis.saddle import prime_power_sums, solve_alpha, zeta_partial
 from friabilis import psi_exact, saddle
 from friabilis import theorem as th
 
@@ -233,6 +233,17 @@ def test_oscillation_domain(table):
         th.oscillation_record(1e4, 2.0, table)
 
 
+def test_oscillation_s_is_prime_power_sums_s(table):
+    # S is summed alone, bit for bit the S of prime_power_sums
+    for y in (16.0, 1e3, 12345.6, 1e5, 1e6):
+        for alpha in (None, 0.3, 0.5, 0.9):
+            r = th.oscillation_record(y, 1.5, table, alpha=alpha)
+            assert r.s_sum.hex() == prime_power_sums(r.alpha, table, y)[0].hex(), (y, alpha)
+    for alpha in (0.0, -0.5):
+        with pytest.raises(DomainError):
+            th.oscillation_record(1e4, 1.5, table, alpha=alpha)
+
+
 def test_oscillation_scan_deterministic(table):
     serial = th.oscillation_scan(1.5, [1e4, 1e2, 1e3], table)
     assert [r.y for r in serial] == [1e2, 1e3, 1e4]
@@ -349,6 +360,28 @@ def test_q_integral_parts_round_once():
     assert q == math.fsum(primes + tail + smooth)
     assert pi == math.fsum(primes + smooth)
     assert q == pytest.approx(-0.270, abs=5e-4)
+
+
+def q_integral_one_array(y, alpha, table):
+    # q_integral as one exact_sum per part over the concatenated terms
+    lp = table.log_primes
+    k_end, *roots = table.root_counts(y)
+    primes = np.exp(-alpha * lp[:k_end])
+    tail = [np.exp(-alpha * k * lp[:c]) / k for k, c in enumerate(roots, start=2)]
+    log_y, log_2, b = math.log(y), math.log(2.0), 1.0 - alpha
+    smooth = np.array([-math.log(log_y / log_2), -int_exp(b * log_y), int_exp(b * log_2)])
+    return (exact_sum(np.concatenate([primes, *tail, smooth])),
+            exact_sum(np.concatenate([primes, smooth])))
+
+
+def test_q_integral_against_one_array_sums(table):
+    # the prime terms' parts, extracted once and joined with the tail and
+    # smooth terms in one math.fsum, round as the concatenated arrays do
+    for y in (2.0, 3.0, 3.99, 4.0, 100.0, 1e3, 4096.0, 1e5, 999983.0, 1e6):
+        for a in (0.05, 0.2, 0.4, 0.5, 0.75, 1.0):
+            got = th.q_integral(y, a, table)
+            want = q_integral_one_array(y, a, table)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (y, a)
 
 
 def test_q_integral_gap_profile(table):

@@ -4,8 +4,9 @@
 
 For each workload, runs `perfbench/run.py --trace 0` in PAIRS pairs: one run
 in the parent checkout and one in this repository (the change), with the
-pair's own seed (1 to PAIRS) on both sides and the side that runs first
-alternating from pair to pair. Then one `--trace 1` run per side and
+pair's own seed on both sides and the side that runs first alternating from
+pair to pair. The seeds are 100 n + 1 to 100 n + PAIRS, so each BENCH file
+is measured on seeds of its own. Then one `--trace 1` run per side and
 workload gives the per-layer metrics and the self time of every span
 (`perfbench/spans.self_times` over the run's spans file), and the tier-1
 test command is timed once per side. Every run takes SECONDS.
@@ -16,7 +17,11 @@ each workload's end-to-end metrics (every run, their median and quartiles),
 metrics, span self times per traced pass and provenance, the `cli`
 per-command medians, and the tier-1 wall time and summary line. Under
 pairs[workload][metric] it counts the pairs in which the change reads
-better and worse, in the direction BENCHMARK.json gives.
+better and worse, in the direction BENCHMARK.json gives, and two verdicts:
+`gain` when the change is better in at least WINS pairs and its median
+beats the parent's by more than the parent's quartile distance, and
+`beyond_bound` when its median is worse than the parent's by more than the
+metric's relative bound in BENCHMARK.json.
 """
 
 import argparse
@@ -33,6 +38,8 @@ from spans import self_times  # noqa: E402
 
 WORKLOADS = ("count_int64", "count_huge", "analytic", "cli")
 PAIRS, SECONDS = 10, 20.0
+# pairs the change must win for a claimed gain
+WINS = 9
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -93,34 +100,47 @@ def _block(runs, traced):
     return entry
 
 
-def record(parent):
+def _verdict(parent, change, gaps, low, bound):
+    """Pair counts and the gain / beyond-bound verdicts of one metric."""
+    better = sum(g < 0 if low else g > 0 for g in gaps)
+    worse = sum(g > 0 if low else g < 0 for g in gaps)
+    sign = 1.0 if low else -1.0  # sign * (parent - change) > 0: the change is better
+    lead = sign * (parent["median"] - change["median"])
+    return {"change_better": better, "change_worse": worse,
+            "gain": better >= WINS and lead > parent["q3"] - parent["q1"],
+            "beyond_bound": -lead > bound * abs(parent["median"])}
+
+
+def record(parent, n):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        lower = {m["name"]: m["better"] == "lower" for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: (m["better"] == "lower", m["bound"])
+                   for m in json.load(fh)["end_to_end"]}
+    seeds = [100 * n + i + 1 for i in range(PAIRS)]
     sides = {"parent": parent, "change": ROOT}
     blocks = {side: {"workloads": {}} for side in sides}
     pairs = {}
     for workload in WORKLOADS:
         runs = {side: [] for side in sides}
-        for i in range(PAIRS):
+        for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(_run_bench(sides[side], workload, i + 1, 0))
+                runs[side].append(_run_bench(sides[side], workload, seed, 0))
             print(f"{workload} pair {i + 1}/{PAIRS}: " + ", ".join(
                 f"{side} wall_s {runs[side][-1]['metrics']['wall_s']['value']:.4g}"
                 for side in sides), file=sys.stderr, flush=True)
         for side, checkout in sides.items():
-            traced = _run_bench(checkout, workload, 1, 1)
+            traced = _run_bench(checkout, workload, seeds[0], 1)
             blocks[side]["workloads"][workload] = _block(runs[side], traced)
         pairs[workload] = {}
-        for name, low in lower.items():
+        for name, (low, bound) in metrics.items():
             gaps = [c["metrics"][name]["value"] - p["metrics"][name]["value"]
                     for p, c in zip(runs["parent"], runs["change"])]
-            pairs[workload][name] = {
-                "change_better": sum(g < 0 if low else g > 0 for g in gaps),
-                "change_worse": sum(g > 0 if low else g < 0 for g in gaps)}
+            pairs[workload][name] = _verdict(
+                blocks["parent"]["workloads"][workload]["end_to_end"][name],
+                blocks["change"]["workloads"][workload]["end_to_end"][name], gaps, low, bound)
     for side, checkout in sides.items():
         blocks[side]["tier1"] = _tier1(checkout)
-    return {"pairs_per_workload": PAIRS, "seconds": SECONDS, "seeds": list(range(1, PAIRS + 1)),
+    return {"pairs_per_workload": PAIRS, "seconds": SECONDS, "seeds": seeds,
             "blocks": blocks, "pairs": pairs}
 
 
@@ -129,7 +149,7 @@ def main():
     ap.add_argument("--n", type=int, required=True, help="BENCH file number")
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     args = ap.parse_args()
-    data = record(os.path.abspath(args.parent))
+    data = record(os.path.abspath(args.parent), args.n)
     path = os.path.join(ROOT, f"BENCH_{args.n}.json")
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
@@ -140,7 +160,9 @@ def main():
             c = data["blocks"]["change"]["workloads"][workload]["end_to_end"][name]
             print(f"{workload} {name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                   f" change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-                  f" change better in {won['change_better']}/{PAIRS}")
+                  f" change better in {won['change_better']}/{PAIRS};"
+                  f" gain {'yes' if won['gain'] else 'no'},"
+                  f" beyond bound {'YES' if won['beyond_bound'] else 'no'}")
     print(f"{path}: tier-1 parent {data['blocks']['parent']['tier1']['summary']!r},"
           f" change {data['blocks']['change']['tier1']['summary']!r}")
     return 0
