@@ -195,7 +195,7 @@ def _run_psi(args, fh) -> None:
     if args.method in ("sieve", "all"):
         if x_exact is None:
             raise DomainError("method sieve needs an exact --x, not --log-x")
-        results.append(psi_sieve(x_exact, y_eff, max_x=args.max_sieve))
+        results.append(psi_sieve(x_exact, y_eff))
     if args.method in ("buchstab", "all"):
         if x_exact is None:
             raise DomainError("method buchstab needs an exact --x, not --log-x")
@@ -270,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None, metavar="PATH")
         if sieve:
             sp.add_argument("--max-sieve", type=_finite, default=1e8,
-                            help="largest prime table / sieve bound (default 1e8)")
+                            help="largest prime table (default 1e8)")
 
     def x_args(sp):
         sp.add_argument("--x", type=str, default=None,

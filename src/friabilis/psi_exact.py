@@ -211,16 +211,17 @@ def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
 
 
 _SEGMENT = 1 << 20  # numbers per psi_sieve segment
+_SIEVE_MAX_X = 10**8  # the largest x psi_sieve counts
 
 
-def psi_sieve(x, y, *, max_x=10**8) -> PsiResult:
+def psi_sieve(x, y) -> PsiResult:
     """Count by multiplying every prime power p^j <= x into an array of ones.
 
     Entry n collects p once for each p^j dividing it, so after all primes
     <= y it holds the y-friable part of n, and n is y-friable exactly when
-    the entry equals n. That part is at most n, so int32 holds it while
-    x < 2^31. Segments of _SEGMENT numbers keep memory flat; an x above
-    max_x raises ResourceError.
+    the entry equals n. That part is at most n <= _SIEVE_MAX_X = 1e8 <
+    2^31, so int32 holds it. Segments of _SEGMENT numbers keep memory
+    flat; an x above _SIEVE_MAX_X raises ResourceError.
     """
     x = int(x)
     y = float(y)
@@ -228,17 +229,16 @@ def psi_sieve(x, y, *, max_x=10**8) -> PsiResult:
         raise DomainError(f"psi_sieve needs x >= 1, got {x}")
     if not y >= 2.0:
         raise DomainError(f"psi_sieve needs y >= 2, got {y}")
-    if x > max_x:
-        raise ResourceError(f"x = {x} exceeds the sieve cap {max_x}", estimate=float(x))
+    if x > _SIEVE_MAX_X:
+        raise ResourceError(f"x = {x} exceeds the sieve cap {_SIEVE_MAX_X}", estimate=float(x))
     if y >= x:
         return PsiResult(log_x=math.log(x), y=y, count=x, method="sieve")
 
-    dtype = np.int32 if x < 2**31 else np.int64
     plist = sieve_primes(max(int(y), 2)).primes.tolist()
     count = 0
     for lo in range(1, x + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, x + 1)
-        acc = np.ones(hi - lo, dtype=dtype)
+        acc = np.ones(hi - lo, dtype=np.int32)
         for p in plist:
             q = p
             while q < hi:
@@ -246,7 +246,7 @@ def psi_sieve(x, y, *, max_x=10**8) -> PsiResult:
                 if start < hi:
                     acc[start - lo:: q] *= p
                 q *= p
-        count += int((acc == np.arange(lo, hi, dtype=dtype)).sum())
+        count += int((acc == np.arange(lo, hi, dtype=np.int32)).sum())
     return PsiResult(log_x=math.log(x), y=y, count=count, method="sieve")
 
 
@@ -261,8 +261,10 @@ def _bit_length(n: np.ndarray) -> np.ndarray:
     return e - (np.left_shift(1, e - 1) > n)
 
 
-def psi_buchstab(x, table: PrimeTable, y, *, max_x=10**12, max_y=10**5,
-                 memo_cap=4_000_000) -> PsiResult:
+_BUCHSTAB_MAX_X, _BUCHSTAB_MAX_Y = 10**12, 10**5  # the largest x and y psi_buchstab takes
+
+
+def psi_buchstab(x, table: PrimeTable, y) -> PsiResult:
     """Buchstab's identity applied one prime at a time, top down.
 
     Psi(n, p) = sum over e >= 0 of Psi(n // p^e, p-), where p- is the prime
@@ -274,10 +276,11 @@ def psi_buchstab(x, table: PrimeTable, y, *, max_x=10**12, max_y=10**5,
     e >= 1 while that is >= 1, and equal quotients merge. Below 3 only
     the powers of two are left: a term is worth w * bit_length(n).
 
-    Every partial sum is at most the count, which is at most x, so int64
-    holds it; x >= 2^63 is refused whatever max_x is (psi_enumerate counts
-    that range). memo_cap bounds the distinct quotients held at one
-    level; passing it raises, keeping runs deterministic.
+    An x above _BUCHSTAB_MAX_X = 1e12 or a y above _BUCHSTAB_MAX_Y = 1e5
+    raises ResourceError, and so does x >= 2^63 whatever the cap: quotients
+    and partial sums (at most the count, so at most x) are int64. Each
+    quotient is floor(x/m) for some m, as floor(floor(x/a)/b) = floor(x/(ab)),
+    so a merged level holds at most 2 sqrt(x) of them: 2e6 at the cap.
     """
     x = int(x)
     y = float(y)
@@ -285,14 +288,16 @@ def psi_buchstab(x, table: PrimeTable, y, *, max_x=10**12, max_y=10**5,
         raise DomainError(f"psi_buchstab needs x >= 1, got {x}")
     if y < 2.0:
         raise DomainError(f"psi_buchstab needs y >= 2, got {y}")
-    if x > max_x:
-        raise ResourceError(f"x = {x} exceeds the Buchstab cap {max_x}", estimate=float(x))
+    if x > _BUCHSTAB_MAX_X:
+        raise ResourceError(f"x = {x} exceeds the Buchstab cap {_BUCHSTAB_MAX_X}",
+                            estimate=float(x))
     if x >= 2**63:
         raise ResourceError(f"x = {x} does not fit the int64 quotients (x < 2^63)",
                             estimate=float(x))
     k = table.pi(y)  # before the y cap, so a y of nan or inf is a RangeError
-    if y > max_y:
-        raise ResourceError(f"y = {y} exceeds the Buchstab cap {max_y}", estimate=float(y))
+    if y > _BUCHSTAB_MAX_Y:
+        raise ResourceError(f"y = {y} exceeds the Buchstab cap {_BUCHSTAB_MAX_Y}",
+                            estimate=float(y))
     n = np.array([x], dtype=np.int64)
     w = np.ones(1, dtype=np.int64)
     count = 0
@@ -317,11 +322,5 @@ def psi_buchstab(x, table: PrimeTable, y, *, max_x=10**12, max_y=10**5,
         n, w = _sorted(n, w)
         starts = np.flatnonzero(np.r_[True, n[1:] != n[:-1]])
         n, w = n[starts], np.add.reduceat(w, starts)
-        if n.size > memo_cap:
-            raise ResourceError(
-                f"{n.size} distinct quotients at p = {p} pass the cap {memo_cap}"
-                f" at x = {x}, y = {y}",
-                estimate=float(n.size),
-            )
     count += int((w * _bit_length(n)).sum())
     return PsiResult(log_x=math.log(x), y=y, count=count, method="buchstab")

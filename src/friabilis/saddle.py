@@ -139,7 +139,7 @@ def alpha_approx(log_x: float, y: float) -> float:
 def zeta_partial(s: float, table: PrimeTable, y: float) -> float:
     """log of the partial Euler product over p <= y: sum -log(1 - p^{-s})."""
     s = float(s)
-    if s <= 0.0:
+    if not s > 0.0:
         raise DomainError(f"zeta_partial needs s > 0, got {s}")
     k = table.pi(y)
     terms = -np.log1p(-np.exp(-s * table.log_primes[:k]))
@@ -149,7 +149,7 @@ def zeta_partial(s: float, table: PrimeTable, y: float) -> float:
 def prime_power_sums(s: float, table: PrimeTable, y: float) -> tuple:
     """(S, T) with S = sum_{p<=y} p^{-s} and T = sum_{p<=y} p^{-2s}."""
     s = float(s)
-    if s <= 0.0:
+    if not s > 0.0:
         raise DomainError(f"prime_power_sums needs s > 0, got {s}")
     k = table.pi(y)
     logp = table.log_primes[:k]

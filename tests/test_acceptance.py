@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from friabilis import psi_exact
 from friabilis.dickman import rho, rho_asymptotic, xi
 from friabilis.prime_tables import sieve_primes
 from friabilis.psi_exact import psi_buchstab, psi_enumerate, psi_sieve
@@ -46,7 +47,8 @@ def report(num: str, ok: bool, detail: str) -> str:
     return line
 
 
-def test_criterion_01_exact_count_cross_validation(table6):
+def test_criterion_01_exact_count_cross_validation(table6, monkeypatch):
+    monkeypatch.setattr(psi_exact, "_BUCHSTAB_MAX_Y", 10**6)  # the cells run y up to x = 1e6
     t0 = time.monotonic()
     spot = psi_enumerate(None, table6, 5.0, x_exact=100)
     assert spot.count == 34
@@ -55,7 +57,7 @@ def test_criterion_01_exact_count_cross_validation(table6):
         for y in (3.0, 7.0, 20.0, 50.0, 100.0, float(x)):
             a = psi_enumerate(None, table6, y, x_exact=x).count
             b = psi_sieve(x, y).count
-            c = psi_buchstab(x, table6, y, max_y=10**6).count
+            c = psi_buchstab(x, table6, y).count
             assert a == b == c, f"disagreement at x={x}, y={y}: {a}, {b}, {c}"
             cells += 1
     dt = time.monotonic() - t0

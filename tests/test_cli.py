@@ -204,6 +204,7 @@ BAD_INPUTS = [
     (["xi", "--u", "1e308"], 3),                          # e^xi passes the largest double
     (["psi", "--log-x", "1e300", "--y", "3"], 4),         # the powers of 2 alone pass the cap
     (["alpha", "--x", "1e10", "--y", "1e300"], 4),        # prime table beyond --max-sieve
+    (["psi", "--x", "2e8", "--y", "100", "--method", "sieve"], 4),  # the sieve's own x cap
     (["compare", "--c", "1.2", "--max-sieve", "10"], 4),  # no feasible x: the table binds
     (["compare", "--c", "1.2", "--max-count", "3"], 4),   # no feasible x: the count binds
 ]
@@ -358,6 +359,12 @@ def test_compare_auto_respects_max_sieve(monkeypatch, capsys):
     [rec] = read_regime_csv(io.StringIO(out))
     assert rec.y <= 1000
     assert limits and max(limits) <= 1000
+
+
+def test_max_sieve_bounds_only_prime_tables(capsys):
+    # the sieve builds no prime table, so --max-sieve does not cap its x
+    argv = ["psi", "--x", "1e6", "--y", "100", "--method", "sieve", "--max-sieve", "1000"]
+    assert run_cli(argv, capsys) == (0, "72271\n")
 
 
 def test_primes_limit_2_lists_only_2(capsys):

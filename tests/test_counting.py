@@ -104,18 +104,17 @@ def test_buchstab_sweep_against_recursion(table):
         assert psi_buchstab(x, table, y).count == buchstab_recursion(x, table.primes, y), (x, y)
 
 
-def test_buchstab_int64_edges(table):
+def test_buchstab_int64_edges(table, monkeypatch):
     # float64 rounds 2^60 - 1 up to 2^60, so bit_length must not come from
     # the frexp exponent alone; past 2^63 the int64 quotients refuse
-    big = 2**70
-    assert psi_buchstab(2**53 - 1, table, 2.0, max_x=big).count == 53
-    assert psi_buchstab(2**60 - 1, table, 2.0, max_x=big).count == 60
-    assert psi_buchstab(2**60 - 1, table, 5.0, max_x=big).count == 11023
+    monkeypatch.setattr(psi_exact, "_BUCHSTAB_MAX_X", 2**70)
+    assert psi_buchstab(2**53 - 1, table, 2.0).count == 53
+    assert psi_buchstab(2**60 - 1, table, 2.0).count == 60
+    assert psi_buchstab(2**60 - 1, table, 5.0).count == 11023
     top = 2**63 - 1  # float64 rounds it to 2^63, one bit past int64
-    assert (psi_buchstab(top, table, 3.0, max_x=big).count
-            == buchstab_recursion(top, table.primes, 3.0))
+    assert psi_buchstab(top, table, 3.0).count == buchstab_recursion(top, table.primes, 3.0)
     with pytest.raises(ResourceError):
-        psi_buchstab(2**64 + 1, table, 3.0, max_x=big)
+        psi_buchstab(2**64 + 1, table, 3.0)
 
 
 def test_enumerate_and_buchstab_at_1e10(table):
@@ -321,14 +320,26 @@ def test_sieve_caps_and_segments(table, monkeypatch):
     assert psi_sieve(10**6, 100.0).count == ref
 
 
-def test_buchstab_caps(table):
+def test_buchstab_caps(table, monkeypatch):
     with pytest.raises(ResourceError):
         psi_buchstab(2 * 10**12, table, 100.0)
     with pytest.raises(ResourceError):
         psi_buchstab(10**6, table, 2e5)
-    assert psi_buchstab(10**6, table, 2e5, max_y=1e6).count == psi_sieve(10**6, 2e5).count
-    with pytest.raises(ResourceError):
-        psi_buchstab(10**9, table, 1000.0, memo_cap=10)
+    monkeypatch.setattr(psi_exact, "_BUCHSTAB_MAX_Y", 1e6)
+    assert psi_buchstab(10**6, table, 2e5).count == psi_sieve(10**6, 2e5).count
+
+
+def test_buchstab_levels_hold_at_most_2_sqrt_x(table, monkeypatch):
+    # every quotient is floor(x/m) for some m, and x has at most 2 isqrt(x)
+    # of those, so no level needs a cap of its own
+    levels = []
+    real = psi_exact._sorted
+    monkeypatch.setattr(psi_exact, "_sorted",
+                        lambda n, w: levels.append(np.unique(n).size) or real(n, w))
+    for x, y in ((10**10, 300.0), (10**12, 30.0), (10**8, 1e4), (10**11, 100.0)):
+        levels.clear()
+        psi_buchstab(x, table, y)
+        assert levels and max(levels) <= 2 * math.isqrt(x), (x, y, max(levels))
 
 
 def test_result_fields(table):

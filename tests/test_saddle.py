@@ -287,8 +287,9 @@ def test_zeta_partial_examples(table):
     assert zeta_partial(2.0, table, 10.0) == pytest.approx(math.log(1225.0 / 768.0), rel=1e-14)
     for s in (0.5, 1.0, 2.0):
         assert zeta_partial(s, table, 2.0) == -math.log1p(-(2.0**-s))
-    with pytest.raises(DomainError):
-        zeta_partial(0.0, table, 10.0)
+    for s in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            zeta_partial(s, table, 10.0)
 
 
 def test_zeta_lower_bound_sweep(table):
@@ -308,8 +309,9 @@ def test_prime_power_sums_values(table):
     sv2, tv2 = prime_power_sums(0.8, table, 2.0)
     assert sv2 == pytest.approx(2.0**-0.8, rel=1e-15)
     assert tv2 == pytest.approx(2.0**-1.6, rel=1e-15)
-    with pytest.raises(DomainError):
-        prime_power_sums(-0.1, table, 10.0)
+    for s in (-0.1, 0.0, math.nan):
+        with pytest.raises(DomainError):
+            prime_power_sums(s, table, 10.0)
 
 
 def test_prime_sums_are_fsum_of_their_terms(table):
