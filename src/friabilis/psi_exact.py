@@ -175,7 +175,7 @@ def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
     if log_x is None:
         raise DomainError("one of log_x or x_exact is required")
     log_x = float(log_x)
-    if log_x < 0.0:
+    if not log_x >= 0.0:
         raise DomainError(f"psi_enumerate needs log_x >= 0, got {log_x}")
     k = _preflight(log_x, table, y, float(max_count))
     eps = _GUARD * (1.0 + log_x)

@@ -7,6 +7,7 @@ point beta = 1 - xi(u)/log y, and the saddle approximation to Psi itself.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,11 @@ class SaddleState:
 # needs at most about 10
 _MAX_PASSES = 100
 
-
-def _alpha_terms(a: float, logp: np.ndarray) -> np.ndarray:
-    # log p / (p^a - 1), written through expm1 so small a*log p stays exact
-    with np.errstate(over="ignore"):
-        return logp / np.expm1(a * logp)
+# the last solve_alpha result as (weakref to its table, log_x, y, alpha),
+# swapped as one tuple; only psi_saddle reads it, so a caller that has just
+# solved a point does not pay a second solve there.  The NaNs of the empty
+# memo equal no float.
+_last_solve = (None, math.nan, math.nan, math.nan)
 
 
 def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
@@ -57,18 +58,21 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
     rounding noise: when Newton leaves a bracket closed on both sides, or
     when a step fails to shrink quadratically.  For u >= 1/2 it takes 4 to
     8 passes, 4 where beta starts it at y >= 1e5 and 2 <= u <= 100 (up to
-    10 for u far below 1), then one more for the correctly rounded residual.
+    10 for u far below 1), then one more for the correctly rounded residual,
+    whose terms go into the Newton buffer.  Every call solves; the result
+    is also kept as the one-entry memo that psi_saddle reads.
     A root below alpha = 1e-18 (log_x = 1e300 at y = 100) is out of the
     solver's range and raises RangeError; the floor is checked on the
     result too, since the start can converge straight to such a root.  A u
     past xi's range (2.53e305) puts the root below pi(y)/log_x < 1e-290, so
     it raises the same RangeError before any pass.
     """
+    global _last_solve
     log_x = float(log_x)
     y = float(y)
     if y < 2.0:
         raise DomainError(f"solve_alpha needs y >= 2, got {y}")
-    if log_x < _LOG2:
+    if not log_x >= _LOG2:
         raise DomainError(f"solve_alpha needs log_x >= log 2, got {log_x}")
     k = table.pi(y)
     logp = table.log_primes[:k]
@@ -115,11 +119,15 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
         prev = step
     else:
         raise NumericError(f"alpha Newton did not converge for log_x={log_x}, y={y}")
-    del t
     if a < 1e-18:
         raise RangeError(f"alpha(x, y) lies below 1e-18 at log_x={log_x}, y={y}")
 
-    residual = exact_sum(_alpha_terms(a, logp)) - log_x
+    with np.errstate(over="ignore"):
+        np.multiply(logp, a, out=t)
+        np.expm1(t, out=t)
+        np.divide(logp, t, out=t)
+    residual = exact_sum(t) - log_x
+    _last_solve = (weakref.ref(table), log_x, y, a)
     c = log_y / math.log(log_x) if log_x > 1.0 else math.nan
     return SaddleState(log_x=log_x, y=y, u=u, c=c, alpha=a, beta=beta,
                        solver_residual=residual)
@@ -142,8 +150,11 @@ def zeta_partial(s: float, table: PrimeTable, y: float) -> float:
     if not s > 0.0:
         raise DomainError(f"zeta_partial needs s > 0, got {s}")
     k = table.pi(y)
-    terms = -np.log1p(-np.exp(-s * table.log_primes[:k]))
-    return exact_sum(terms)
+    t = np.multiply(table.log_primes[:k], -s)
+    np.exp(t, out=t)
+    np.negative(t, out=t)
+    np.log1p(t, out=t)
+    return exact_sum(np.negative(t, out=t))
 
 
 def prime_power_sums(s: float, table: PrimeTable, y: float) -> tuple:
@@ -153,9 +164,10 @@ def prime_power_sums(s: float, table: PrimeTable, y: float) -> tuple:
         raise DomainError(f"prime_power_sums needs s > 0, got {s}")
     k = table.pi(y)
     logp = table.log_primes[:k]
-    s_val = exact_sum(np.exp(-s * logp))
-    t_val = exact_sum(np.exp(-2.0 * s * logp))
-    return s_val, t_val
+    t = np.multiply(logp, -s)
+    s_val = exact_sum(np.exp(t, out=t))
+    np.multiply(logp, -2.0 * s, out=t)
+    return s_val, exact_sum(np.exp(t, out=t))
 
 
 def w_sigma(sigma: float, y: float) -> float:
@@ -202,7 +214,13 @@ def f_at_beta_identity(log_x: float, y: float) -> tuple:
 
 
 def psi_saddle(log_x: float, table: PrimeTable, y: float) -> float:
-    """log of the saddle approximation x^alpha zeta(alpha,y) / (alpha log y sqrt(2 pi u))."""
+    """log of the saddle approximation x^alpha zeta(alpha,y) / (alpha log y sqrt(2 pi u)).
+
+    alpha is the one solve_alpha last returned when that solve was over
+    this same table object at equal floats log_x and y; any other point
+    is solved afresh.  alpha depends on nothing else, so the value is bit
+    for bit that of a fresh solve.
+    """
     log_x = float(log_x)
     y = float(y)
     if y < 2.0:
@@ -210,7 +228,9 @@ def psi_saddle(log_x: float, table: PrimeTable, y: float) -> float:
     u = log_x / math.log(y)
     if u < 2.0:
         raise DomainError(f"psi_saddle intended for u >= 2, got u = {u}")
-    st = solve_alpha(log_x, table, y)
-    return (st.alpha * log_x + zeta_partial(st.alpha, table, y)
-            - math.log(st.alpha) - math.log(math.log(y))
+    ref, last_log_x, last_y, alpha = _last_solve
+    if not (last_log_x == log_x and last_y == y and ref() is table):
+        alpha = solve_alpha(log_x, table, y).alpha
+    return (alpha * log_x + zeta_partial(alpha, table, y)
+            - math.log(alpha) - math.log(math.log(y))
             - 0.5 * math.log(2.0 * math.pi * u))

@@ -179,10 +179,11 @@ def oscillation_record(y: float, c: float, table: PrimeTable, *,
         raise DomainError(f"oscillation regime needs c in (1, 2), got {c}")
     if alpha is None:
         alpha = solve_alpha(y ** (1.0 / c), table, y).alpha
-    elif float(alpha) <= 0.0:
-        raise DomainError(f"oscillation_record needs alpha > 0, got {alpha}")
+    elif not 0.0 < float(alpha) < math.inf:
+        raise DomainError(f"oscillation_record needs a finite alpha > 0, got {alpha}")
     ly = math.log(y)
-    s_sum = exact_sum(np.exp(-alpha * table.log_primes[:table.pi(y)]))
+    terms = np.multiply(table.log_primes[:table.pi(y)], -alpha)
+    s_sum = exact_sum(np.exp(terms, out=terms))
     i_term = int_exp((1.0 - alpha) * ly)
     diff = s_sum - i_term
     normalizer = y ** (0.5 - alpha) * math.log(math.log(ly)) / ly
@@ -268,7 +269,8 @@ def q_integral(y: float, alpha: float, table: PrimeTable) -> tuple:
         raise DomainError(f"need 0 < alpha <= 1, got {alpha}")
     lp = table.log_primes
     k_end, *roots = table.root_counts(y)
-    primes = _exact_parts(np.exp(-alpha * lp[:k_end]))
+    terms = np.multiply(lp[:k_end], -alpha)
+    primes = _exact_parts(np.exp(terms, out=terms))
     # (p^k)^(-alpha) / k for the primes p with p^k <= y, k >= 2
     tail = [part for k, c in enumerate(roots, start=2)
             for part in _exact_parts(np.exp(-alpha * k * lp[:c]) / k)]

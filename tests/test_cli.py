@@ -1,11 +1,13 @@
 """CLI surface: grammar, exit codes, output formats, determinism."""
 
+import argparse
 import decimal
 import io
 import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -311,6 +313,41 @@ def test_non_finite_float_option_exit_2(argv, capsys):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["alpha", "--x", "nan", "--y", "100"], "positive integer"),
+    (["psi", "--x", "inf", "--y", "10"], "positive integer"),
+    (["psi", "--x", "snan", "--y", "10"], "positive integer"),
+    (["compare", "--c", "1.2", "--x", "nan"], "positive integer"),
+    (["psi", "--x", "2.5", "--y", "10"], "positive integer"),
+    (["psi", "--x", "1.5e-999999999999999999", "--y", "10"], "positive integer"),
+    (["psi", "--x", "1e1000000", "--y", "10"], "--log-x"),
+    (["psi", "--x", "1e10000000", "--y", "10"], "--log-x"),
+    (["compare", "--c", "0.7", "--x", "1e999999999999999999"], "--log-x"),
+])
+def test_bad_x_is_usage_error(argv, message, capsys):
+    # refused from the Decimal itself, before any huge int is built
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_parse_x_exact_up_to_the_digit_cap(capsys):
+    cap = cli._MAX_X_DIGITS
+    assert cli._parse_x("100e-2") == cli._parse_x("1.000") == 1
+    assert cli._parse_x("12.5e3") == 12500
+    assert cli._parse_x("1e" + str(cap - 1)) == 10 ** (cap - 1)
+    with pytest.raises(argparse.ArgumentTypeError, match="--log-x"):
+        cli._parse_x("1e" + str(cap))
+    # 2^k <= 10^5000 for k up to floor(5000 log2 10) = 16609
+    code, out = run_cli(["psi", "--x", "1e5000", "--y", "2"], capsys)
+    assert code == 0 and out == "16610\n"
 
 
 def test_psi_log_x_beyond_float_exp(capsys):

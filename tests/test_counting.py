@@ -284,8 +284,9 @@ def test_preflight_exact_at_y_2():
 def test_enumerate_domain_errors(table):
     with pytest.raises(DomainError):
         psi_enumerate(3.0, table, 1.5)
-    with pytest.raises(DomainError):
-        psi_enumerate(-0.1, table, 5.0)
+    for log_x in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            psi_enumerate(log_x, table, 5.0)
     with pytest.raises(DomainError):
         psi_enumerate(None, table, 5.0)
     for cap in (0, -5, math.nan):

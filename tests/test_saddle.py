@@ -5,11 +5,13 @@ and a Newton refinement whose value is a math.fsum over the explicit prime
 terms, both independent of the module's Newton path.
 """
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from friabilis import saddle
 from friabilis.dickman import int_exp, xi
 from friabilis.errors import DomainError, RangeError
 from friabilis.prime_tables import _BLOCK, exact_sum, sieve_primes
@@ -46,6 +48,19 @@ def bisect_alpha(log_x, primes, y):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _count_expm1(monkeypatch):
+    # one np.expm1 call per pass of solve_alpha over the log-primes
+    calls = []
+    expm1 = np.expm1
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return expm1(*args, **kwargs)
+
+    monkeypatch.setattr(np, "expm1", counting)
+    return calls
 
 
 # --- solve_alpha -------------------------------------------------------------------
@@ -108,11 +123,17 @@ def test_alpha_monotonicity_grid(table):
         assert all(a > b for a, b in zip(col, col[1:]))
 
 
-def test_alpha_domain_errors(table):
+def test_alpha_domain_errors(table, monkeypatch):
     with pytest.raises(DomainError):
         solve_alpha(5.0, table, 1.5)
     with pytest.raises(DomainError):
         solve_alpha(0.5 * math.log(2.0), table, 10.0)
+    # a NaN log_x is refused before any Newton pass (it ran all 100)
+    calls = _count_expm1(monkeypatch)
+    for y in (10.0, 1e6):
+        with pytest.raises(DomainError, match="log_x >= log 2"):
+            solve_alpha(math.nan, table, y)
+    assert calls == []
     small = sieve_primes(100)
     with pytest.raises(DomainError):
         solve_alpha(5.0, small, 1000.0)
@@ -315,13 +336,20 @@ def test_prime_power_sums_values(table):
 
 
 def test_prime_sums_are_fsum_of_their_terms(table):
-    # exact_sum gives math.fsum's value: bit for bit the sums of the list
-    for y in (2.0, 97.0, 1e4 + 0.5, 1e6):
+    # exact_sum gives math.fsum's value: bit for bit the sums of the list;
+    # the sums computed in place are those of these allocating expressions
+    rng = np.random.default_rng(15)
+    grid = [(y, s) for y in (2.0, 97.0, 1e4 + 0.5, 1e6) for s in (0.2, 1.0, 2.5)]
+    grid += [(10.0 ** rng.uniform(0.31, 6.0), rng.uniform(0.05, 3.0)) for _ in range(12)]
+    for y, s in grid:
         lp = table.log_primes[:table.pi(y)]
-        for s in (0.2, 1.0, 2.5):
-            assert zeta_partial(s, table, y) == math.fsum((-np.log1p(-np.exp(-s * lp))).tolist())
-            assert prime_power_sums(s, table, y) == (math.fsum(np.exp(-s * lp).tolist()),
-                                                     math.fsum(np.exp(-2.0 * s * lp).tolist()))
+        assert zeta_partial(s, table, y) == math.fsum((-np.log1p(-np.exp(-s * lp))).tolist())
+        assert prime_power_sums(s, table, y) == (math.fsum(np.exp(-s * lp).tolist()),
+                                                 math.fsum(np.exp(-2.0 * s * lp).tolist()))
+        # s as u: the residual that solve_alpha sums in its Newton buffer
+        st = solve_alpha(max(s * math.log(y), math.log(2.0)), table, y)
+        want = math.fsum((lp / np.expm1(st.alpha * lp)).tolist()) - st.log_x
+        assert st.solver_residual.hex() == want.hex(), (y, s)
 
 
 def test_t_tracks_w_with_second_order_drift(table):
@@ -446,3 +474,55 @@ def test_psi_saddle_domain(table):
         psi_saddle(math.log(100.0), table, 50.0)  # u < 2
     with pytest.raises(DomainError):
         psi_saddle(math.log(1e6), table, 1.5)
+
+
+def test_psi_saddle_reuses_the_last_solve(table, monkeypatch):
+    # right after solve_alpha at its point psi_saddle makes no Newton pass,
+    # and its value is bit for bit that of a call that solves afresh
+    calls = _count_expm1(monkeypatch)
+    for y, u in ((100.0, 2.0), (1e4, 13.0), (1e6, 89.0)):
+        log_x = u * math.log(y)
+        solve_alpha(log_x + 1.0, table, y)
+        cold = psi_saddle(log_x, table, y)
+        solve_alpha(log_x, table, y)
+        calls.clear()
+        warm = psi_saddle(log_x, table, y)
+        assert calls == [], (y, u)
+        assert warm.hex() == cold.hex(), (y, u)
+
+
+def test_psi_saddle_memo_misses(table, monkeypatch):
+    # only the same table object at equal floats log_x and y is a hit
+    small = sieve_primes(10**4)
+    twin = sieve_primes(10**4)
+    log_x, y = 10.0 * math.log(1e3), 1e3
+    misses = [
+        (twin, log_x, y),
+        (small, log_x, math.nextafter(y, math.inf)),
+        (small, math.nextafter(log_x, 0.0), y),
+    ]
+    calls = _count_expm1(monkeypatch)
+    for other, lx, yy in misses:
+        solve_alpha(log_x, small, y)
+        calls.clear()
+        psi_saddle(lx, other, yy)
+        assert len(calls) >= 2, (lx, yy)
+    # a solve at another point in between replaces the memo
+    solve_alpha(log_x, small, y)
+    solve_alpha(log_x, small, 100.0)
+    calls.clear()
+    got = psi_saddle(log_x, small, y)
+    assert len(calls) >= 2
+    assert got.hex() == psi_saddle(log_x, twin, y).hex()
+
+
+def test_memo_holds_its_table_weakly():
+    small = sieve_primes(1000)
+    solve_alpha(30.0, small, 100.0)
+    ref = saddle._last_solve[0]
+    assert ref() is small
+    del small
+    gc.collect()
+    assert ref() is None
+    # a dead memo never matches, so the point is solved again
+    assert psi_saddle(30.0, sieve_primes(1000), 100.0) > 0.0

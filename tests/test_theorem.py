@@ -143,6 +143,26 @@ def test_regime_record_side_condition_flag(table):
     assert math.isfinite(r.measured_gap)
 
 
+def test_regime_record_solves_once(table, monkeypatch):
+    # the record's own solve is the one that psi_enumerate's preflight
+    # estimate reuses: as many Newton passes as one solve at the point
+    calls = []
+    expm1 = np.expm1
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return expm1(*args, **kwargs)
+
+    monkeypatch.setattr(np, "expm1", counting)
+    for lx, c in ((39.02542542948119, 0.7), (27.175944945121046, 1.0)):
+        calls.clear()
+        solve_alpha(lx, table, th.regime_y(lx, c))
+        one = len(calls)
+        calls.clear()
+        th.regime_record(lx, c, table)
+        assert len(calls) == one > 0, (c, one, len(calls))
+
+
 def test_regime_purity_under_guard_band(table, monkeypatch):
     lx = math.log(1e9)
     a = th.regime_record(lx, 1.0, table, x_exact=10**9)
@@ -239,8 +259,8 @@ def test_oscillation_s_is_prime_power_sums_s(table):
         for alpha in (None, 0.3, 0.5, 0.9):
             r = th.oscillation_record(y, 1.5, table, alpha=alpha)
             assert r.s_sum.hex() == prime_power_sums(r.alpha, table, y)[0].hex(), (y, alpha)
-    for alpha in (0.0, -0.5):
-        with pytest.raises(DomainError):
+    for alpha in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="oscillation_record needs"):
             th.oscillation_record(1e4, 1.5, table, alpha=alpha)
 
 
