@@ -17,6 +17,7 @@ from .dickman import (
     default_grid,
     export_grid_csv,
     int_exp,
+    log_rho_array,
     rho,
     rho_asymptotic,
     xi,

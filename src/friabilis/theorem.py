@@ -171,7 +171,8 @@ def oscillation_record(y: float, c: float, table: PrimeTable, *,
     """S(alpha,y) - I((1-alpha) log y), normalized by y^(1/2-alpha) log_3 y/log y.
 
     alpha defaults to the saddle point of the (x, y) pair with y = (log x)^c,
-    i.e. log x = y^(1/c); pass alpha explicitly to probe a synthetic value.
+    i.e. log x = y^(1/c); pass alpha explicitly to probe a synthetic value
+    in (0, 1], where I((1-alpha) log y) is defined.
     """
     if y <= _MIN_OSC_Y:
         raise DomainError(f"need y > e^e for log_3 y > 0, got {y}")
@@ -179,8 +180,8 @@ def oscillation_record(y: float, c: float, table: PrimeTable, *,
         raise DomainError(f"oscillation regime needs c in (1, 2), got {c}")
     if alpha is None:
         alpha = solve_alpha(y ** (1.0 / c), table, y).alpha
-    elif not 0.0 < float(alpha) < math.inf:
-        raise DomainError(f"oscillation_record needs a finite alpha > 0, got {alpha}")
+    elif not 0.0 < float(alpha) <= 1.0:
+        raise DomainError(f"oscillation_record needs 0 < alpha <= 1, got {alpha}")
     ly = math.log(y)
     terms = np.multiply(table.log_primes[:table.pi(y)], -alpha)
     s_sum = exact_sum(np.exp(terms, out=terms))

@@ -2,6 +2,7 @@
 
 import argparse
 import decimal
+import hashlib
 import io
 import json
 import math
@@ -222,6 +223,10 @@ def test_bad_input_typed_exit(argv, code):
     assert len(proc.stderr) < 200  # no 301-digit limit
 
 
+# sha256 of `rho --export-grid -`: u,log_rho at the 16,385 nodes i/128 up to 128
+EXPORT_GRID_SHA256 = "4c869ad9bbcab51e738a8990703d88a2472b1c5438c74df8b0813873c1cee910"
+
+
 def test_rho_grid_export(tmp_path):
     path = tmp_path / "grid.csv"
     proc = run_proc(["rho", "--export-grid", str(path)])
@@ -232,6 +237,12 @@ def test_rho_grid_export(tmp_path):
     u, lr = lines[-1].split(",")
     assert float(u) == 128.0
     assert float(lr) < -500.0
+    # every node to the bit, and the file and stdout forms agree
+    proc = run_proc(["rho", "--export-grid", "-"])
+    assert proc.returncode == 0
+    assert proc.stdout.count(b"\n") == 16386
+    assert hashlib.sha256(proc.stdout).hexdigest() == EXPORT_GRID_SHA256
+    assert proc.stdout == path.read_bytes()
 
 
 def test_rho_log_flag(capsys):

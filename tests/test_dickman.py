@@ -21,6 +21,7 @@ from friabilis.dickman import (
     default_grid,
     export_grid_csv,
     int_exp,
+    log_rho_array,
     rho,
     rho_asymptotic,
     xi,
@@ -104,8 +105,10 @@ def test_rho_dilogarithm_on_2_3():
                 + mpmath.polylog(2, 1 - u) + mpmath.pi ** 2 / 12)
 
     us = [2.0 + 1e-9, 2.003, 2.5, 3.0] + list(np.linspace(2.0, 3.0, 201)[1:])
-    for u in us:
-        assert math.exp(rho(u)) == pytest.approx(float(exact(u)), rel=1e-14, abs=0)
+    want = [float(exact(u)) for u in us]
+    for u, w in zip(us, want):
+        assert math.exp(rho(u)) == pytest.approx(w, rel=1e-14, abs=0)
+    assert np.exp(log_rho_array(np.array(us))) == pytest.approx(want, rel=1e-14, abs=0)
     assert math.exp(rho(2.003)) == pytest.approx(0.30535619, abs=5e-9)
 
 
@@ -114,9 +117,9 @@ def test_grid_node_invariants(grid):
     lr = grid.log_rho
     assert lr[0] == 0.0
     assert np.all(lr[: m + 1] == 0.0)
-    for i in range(m, 2 * m + 1):
-        u = i * grid.h
-        assert abs(lr[i] - math.log1p(-math.log(u))) <= 1e-12
+    # the closed form on (1, 2], to the bit: numpy's log1p and log differ by an ulp
+    for i in range(m + 1, 2 * m + 1):
+        assert lr[i] == math.log1p(-math.log(i * grid.h))
     # nonincreasing from u = 1 on
     assert np.all(np.diff(lr[m:]) <= 0.0)
 
@@ -161,8 +164,27 @@ def test_series_against_march_at_nodes(grid, march):
 
 
 def test_rho_scalar_matches_grid_nodes(grid):
-    for i in range(0, len(grid.log_rho), 37):
-        assert rho(i * grid.h) == pytest.approx(grid.log_rho[i], rel=1e-15, abs=1e-15)
+    for i, v in enumerate(grid.log_rho.tolist()):
+        assert rho(i * grid.h) == v, i
+
+
+def test_log_rho_array_shapes_and_errors():
+    rng = np.random.default_rng(1616)
+    for u in (np.array(0.5), np.array(1.5), np.array(37.25), rng.uniform(0.0, 128.0, 50),
+              rng.uniform(0.0, 6.0, (7, 9)), np.array([]), np.zeros((0, 3))):
+        got = log_rho_array(u)
+        assert got.shape == u.shape
+        assert got.ravel().tolist() == [rho(v) for v in u.ravel().tolist()]
+    assert log_rho_array([1.0, 2.0, 3.0]).tolist() == [rho(1.0), rho(2.0), rho(3.0)]
+    # past rho's range of 128, up to the grid's 500
+    assert log_rho_array(500.0) == build_rho_grid(500.0).log_rho[-1]
+    # one bad entry refuses the whole call, with the typed error
+    for bad in ([3.0, -0.1], [[2.5, math.nan]], -math.inf):
+        with pytest.raises(DomainError):
+            log_rho_array(bad)
+    for bad in ([3.0, 500.0 + 1e-9], [[2.5], [math.inf]], 1e308):
+        with pytest.raises(RangeError):
+            log_rho_array(bad)
 
 
 def test_rho_deep_values_stay_finite():

@@ -256,10 +256,11 @@ def test_oscillation_domain(table):
 def test_oscillation_s_is_prime_power_sums_s(table):
     # S is summed alone, bit for bit the S of prime_power_sums
     for y in (16.0, 1e3, 12345.6, 1e5, 1e6):
-        for alpha in (None, 0.3, 0.5, 0.9):
+        for alpha in (None, 0.3, 0.5, 0.9, 1.0):
             r = th.oscillation_record(y, 1.5, table, alpha=alpha)
             assert r.s_sum.hex() == prime_power_sums(r.alpha, table, y)[0].hex(), (y, alpha)
-    for alpha in (0.0, -0.5, math.nan, math.inf):
+    # I((1 - alpha) log y) needs alpha <= 1; the record refuses a larger one itself
+    for alpha in (0.0, -0.5, math.nan, math.inf, 1.0 + 1e-12, 5.0, 200.0):
         with pytest.raises(DomainError, match="oscillation_record needs"):
             th.oscillation_record(1e4, 1.5, table, alpha=alpha)
 

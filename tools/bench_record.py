@@ -2,14 +2,15 @@
 
     python3 tools/bench_record.py --n 12 --parent ../parent-checkout
 
-For each workload, runs `perfbench/run.py --trace 0` in PAIRS pairs: one run
-in the parent checkout and one in this repository (the change), with the
-pair's own seed on both sides and the side that runs first alternating from
-pair to pair. The seeds are 100 n + 1 to 100 n + PAIRS, so each BENCH file
-is measured on seeds of its own. Then one `--trace 1` run per side and
-workload gives the per-layer metrics and the self time of every span
-(`perfbench/spans.self_times` over the run's spans file), and the tier-1
-test command is timed once per side. Every run takes SECONDS.
+For each workload that BENCHMARK.json names, runs `perfbench/run.py --trace 0`
+in PAIRS pairs: one run in the parent checkout and one in this repository
+(the change), with the pair's own seed on both sides and the side that runs
+first alternating from pair to pair. The seeds are 100 n + 1 to 100 n +
+PAIRS, so each BENCH file is measured on seeds of its own. Then one
+`--trace 1` run per side and workload gives the per-layer metrics and the
+self time of every span (`perfbench/spans.self_times` over the run's spans
+file), and the tier-1 test command is timed once per side. Every run takes
+SECONDS.
 
 BENCH_<n>.json, at the root of this repository, holds under blocks[side]
 each workload's end-to-end metrics (every run, their median and quartiles),
@@ -36,7 +37,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from spans import self_times  # noqa: E402
 
-WORKLOADS = ("count_int64", "count_huge", "analytic", "cli")
 PAIRS, SECONDS = 10, 20.0
 # pairs the change must win for a claimed gain
 WINS = 9
@@ -113,13 +113,14 @@ def _verdict(parent, change, gaps, low, bound):
 
 def record(parent, n):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        metrics = {m["name"]: (m["better"] == "lower", m["bound"])
-                   for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    workloads = [w["name"] for w in bench["workloads"]]
+    metrics = {m["name"]: (m["better"] == "lower", m["bound"]) for m in bench["end_to_end"]}
     seeds = [100 * n + i + 1 for i in range(PAIRS)]
     sides = {"parent": parent, "change": ROOT}
     blocks = {side: {"workloads": {}} for side in sides}
     pairs = {}
-    for workload in WORKLOADS:
+    for workload in workloads:
         runs = {side: [] for side in sides}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
