@@ -6,8 +6,13 @@ searchsorted. x can be astronomically large when y is small (the regime
 where u = log x/log y is big). Exactness at the x boundary is restored by
 big-integer resolution of guard-band hits, whose exact values are rebuilt
 from links each set member keeps to the member it extends.
-psi_sieve is a segmented sieve for moderate x that multiplies the prime
-powers p^j <= x into an array and keeps the n whose entry reached n.
+psi_sieve is a segmented sieve for x up to 1e8 that multiplies the powers
+of the primes up to min(y, sqrt(x)) into an int32 array, so that entry n
+holds that friable part of n, and keeps the n whose cofactor is at most y.
+Its segments hold 360360 = 2^3 3^2 5 7 11 13 numbers (1.4 MB, inside a
+core's L2 cache) and start at 1 mod 360360, so the powers of 2 to 13 that
+divide 360360 are multiplied once per call into a base segment (a wheel)
+that every segment copies.
 psi_buchstab applies Buchstab's identity one prime at a time to an array
 of distinct quotients of x.
 """
@@ -210,18 +215,31 @@ def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
                      boundary_ambiguous=hits)
 
 
-_SEGMENT = 1 << 20  # numbers per psi_sieve segment
+_SEGMENT = 360360  # numbers per psi_sieve segment: 2^3 3^2 5 7 11 13
 _SIEVE_MAX_X = 10**8  # the largest x psi_sieve counts
 
 
 def psi_sieve(x, y) -> PsiResult:
-    """Count by multiplying every prime power p^j <= x into an array of ones.
+    """Count by multiplying prime powers p^j <= x into an array of ones.
 
-    Entry n collects p once for each p^j dividing it, so after all primes
-    <= y it holds the y-friable part of n, and n is y-friable exactly when
-    the entry equals n. That part is at most n <= _SIEVE_MAX_X = 1e8 <
-    2^31, so int32 holds it. Segments of _SEGMENT numbers keep memory
-    flat; an x above _SIEVE_MAX_X raises ResourceError.
+    Entry n collects p once for each p^j dividing it, for every prime p up
+    to top = min(y, isqrt(x)) (at least 2), so it ends as the top-friable
+    part a of n. The cofactor n/a has only primes above top. If top is
+    floor(y), n is y-friable exactly when n = a. Otherwise top = isqrt(x)
+    < y, and the cofactor is 1 or one prime above isqrt(x), since two such
+    primes, or the square of one, pass x; then n is y-friable exactly when
+    n <= a floor(y), a product taken in int64. So no prime above sqrt(x)
+    is sieved at all. a <= n <= _SIEVE_MAX_X = 1e8 < 2^31, so int32 holds
+    it; an x above _SIEVE_MAX_X raises ResourceError.
+
+    The numbers are cut into segments of _SEGMENT, each starting at 1 mod
+    _SEGMENT: 360360 int32 entries are 1.4 MB, so the strided passes over
+    a segment stay in a 2 MiB L2 cache. A prime power q dividing _SEGMENT
+    hits the same offsets q - 1, 2q - 1, ... in every segment, so those q
+    are multiplied once per call into a base segment (the wheel) that each
+    segment starts as a copy of, and the loop over strides runs only for
+    the other powers. Any _SEGMENT works; at a prime one such as 1009 the
+    wheel is all ones unless 1009 <= top.
     """
     x = int(x)
     y = float(y)
@@ -234,19 +252,39 @@ def psi_sieve(x, y) -> PsiResult:
     if y >= x:
         return PsiResult(log_x=math.log(x), y=y, count=x, method="sieve")
 
-    plist = sieve_primes(max(int(y), 2)).primes.tolist()
+    seg = _SEGMENT
+    fy = int(y)
+    top = max(2, min(fy, math.isqrt(x)))
+    base = np.ones(min(seg, x), dtype=np.int32)
+    powers = []  # (q, p) for the powers q = p^j <= x that the wheel lacks
+    for p in sieve_primes(top).primes.tolist():
+        q = p
+        while seg % q == 0:
+            base[q - 1::q] *= p
+            q *= p
+        while q <= x:
+            powers.append((q, np.int32(p)))
+            q *= p
+    powers.sort()
+
     count = 0
-    for lo in range(1, x + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, x + 1)
-        acc = np.ones(hi - lo, dtype=np.int32)
-        for p in plist:
-            q = p
-            while q < hi:
-                start = ((lo + q - 1) // q) * q
-                if start < hi:
-                    acc[start - lo:: q] *= p
-                q *= p
-        count += int((acc == np.arange(lo, hi, dtype=np.int32)).sum())
+    for lo in range(1, x + 1, seg):
+        hi = min(lo + seg, x + 1)
+        acc = base[:hi - lo].copy()
+        for q, p in powers:
+            if q >= hi:
+                break
+            start = -lo % q
+            if start < hi - lo:
+                # an int32 p and out= (no write-back by __setitem__) take
+                # a fifth off numpy's per-call cost, most of a large q's
+                view = acc[start::q]
+                np.multiply(view, p, out=view)
+        n = np.arange(lo, hi, dtype=np.int32)
+        # the int64 test holds for every y; the int32 equality, about a third
+        # of its cost per segment, suffices when top = floor(y)
+        friable = n <= acc.astype(np.int64) * fy if top < fy else acc == n
+        count += int(np.count_nonzero(friable))
     return PsiResult(log_x=math.log(x), y=y, count=count, method="sieve")
 
 

@@ -184,6 +184,12 @@ CSV_PINS = [
      "13.815510557964274,100,72271,enumerate,1\n"
      "13.815510557964274,100,72271,sieve,0\n"
      "13.815510557964274,100,72271,buchstab,0\n"),
+    # y above sqrt(x): psi_sieve sieves the primes up to 3162 and bounds the cofactor by y
+    (["psi", "--x", "1e7", "--y", "1e5", "--method", "all"],
+     "log_x,y,count,method,boundary_ambiguous\n"
+     "16.11809565095832,100000,6917610,enumerate,1\n"
+     "16.11809565095832,100000,6917610,sieve,0\n"
+     "16.11809565095832,100000,6917610,buchstab,0\n"),
     (["psi", "--log-x", "100", "--y", "10"],
      "log_x,y,count,method,boundary_ambiguous\n100,10,1940846,enumerate,0\n"),
 ]

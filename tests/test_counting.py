@@ -321,6 +321,33 @@ def test_sieve_caps_and_segments(table, monkeypatch):
     assert psi_sieve(10**6, 100.0).count == ref
 
 
+def test_sieve_wheel_and_large_primes(table, monkeypatch):
+    # psi_sieve pre-fills the powers of the primes dividing _SEGMENT once per
+    # call (the wheel) and, for y above isqrt(x), sieves only the primes up
+    # to isqrt(x) and keeps n whose cofactor is at most y. The cells end
+    # below a segment end, just before, on and just after the second, and
+    # cut the wheel short (y = 2, 2.5, 7, 11.9); then y passes isqrt(x), so
+    # the cofactor primes fall below the segment length (y = 2 isqrt(x))
+    # and, past 2 seg at the three patched lengths, above it (y = 0.75 x).
+    # Every cell runs at every segment length
+    segments = (1000, 1009, 30030, psi_exact._SEGMENT)
+    cells = set()
+    for seg in segments:
+        for x in (seg // 2 + 1, 2 * seg - 1, 2 * seg, 2 * seg + 1):
+            cells.update((x, y) for y in (2.0, 2.5, 7.0, 11.9))
+    for x in (501, 2001, 2019, 60061, psi_exact._SEGMENT // 2 + 1):
+        cells.update(((x, 2.0 * math.isqrt(x)), (x, 0.75 * x)))
+    want = {}
+    for x, y in sorted(cells):
+        want[x, y] = psi_enumerate(None, table, y, x_exact=x).count
+        if y <= 1e5:
+            assert psi_buchstab(x, table, y).count == want[x, y], (x, y)
+    for seg in segments:
+        monkeypatch.setattr(psi_exact, "_SEGMENT", seg)
+        for x, y in sorted(cells):
+            assert psi_sieve(x, y).count == want[x, y], (seg, x, y)
+
+
 def test_buchstab_caps(table, monkeypatch):
     with pytest.raises(ResourceError):
         psi_buchstab(2 * 10**12, table, 100.0)
