@@ -15,7 +15,6 @@ from .dickman import (
     XiValue,
     build_rho_grid,
     default_grid,
-    export_grid_csv,
     int_exp,
     log_rho_array,
     rho,

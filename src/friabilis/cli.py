@@ -22,8 +22,10 @@ import sys
 from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 
+import numpy as np
+
 from . import __version__
-from .dickman import default_grid, export_grid_csv, rho, xi
+from .dickman import log_rho_array, rho, xi
 from .errors import DisagreementError, DomainError, ResourceError
 from .prime_tables import sieve_primes
 from .psi_exact import psi_buchstab, psi_enumerate, psi_sieve
@@ -43,8 +45,9 @@ from .theorem import (
 _MAX_X_DIGITS = 100_000
 
 
-def _parse_x(text: str) -> int:
-    """x as a decimal integer or scientific literal (1e18), exactly.
+def _parse_x(text: str) -> tuple:
+    """(x, form): x from a decimal integer or scientific literal (1e18),
+    exactly, and the form it was written in, "decimal" or "scientific".
 
     Integrality and size are read off the Decimal itself, and the int is
     built from its digits times a power of 10, so no huge exponent is
@@ -62,7 +65,8 @@ def _parse_x(text: str) -> int:
     _, digits, exp = d.as_tuple()
     if exp < 0:  # integral: the digits past the point are zeros
         digits, exp = digits[:exp], 0
-    return int(Decimal((0, digits, 0))) * 10**exp
+    form = "scientific" if "e" in text.lower() else "decimal"
+    return int(Decimal((0, digits, 0))) * 10**exp, form
 
 
 def _finite(text: str) -> float:
@@ -81,10 +85,6 @@ def _open_for_write(path: str, shown: str):
         return open(path, "w")
     except OSError as exc:
         raise DomainError(f"cannot write {shown}: {exc.strerror or exc}") from exc
-
-
-def _x_form(text: str) -> str:
-    return "scientific" if "e" in text.lower() else "decimal"
 
 
 def _clean(v):
@@ -124,19 +124,11 @@ def _emit(args, meta: dict, rows, fh, *, scalar=None, write_csv=None) -> None:
             fh.write(",".join(map(_csv_cell, row.values())) + "\n")
 
 
-def _table_for(y: float, max_sieve: float):
-    limit = int(math.ceil(y))
-    if limit > max_sieve:
-        raise ResourceError(
-            f"prime table to {limit:.3g} exceeds --max-sieve {max_sieve:.3g}")
-    return sieve_primes(limit)
-
-
 # --- subcommand bodies --------------------------------------------------------------
 
 
 def _run_primes(args, fh) -> None:
-    table = _table_for(float(args.limit), args.max_sieve)
+    table = sieve_primes(args.limit)
     meta = {"subcommand": "primes", "limit": args.limit, "format": args.format}
 
     def rows():
@@ -146,14 +138,21 @@ def _run_primes(args, fh) -> None:
     _emit(args, meta, rows(), fh, scalar=len(table.primes))
 
 
+def _write_rho_grid(fh) -> None:
+    # u,log_rho at the nodes i/128 up to u = 128, 17 significant digits
+    us = np.arange(128 * 128 + 1) / 128
+    fh.write("u,log_rho\n")
+    fh.writelines(f"{u:.17g},{v:.17g}\n"
+                  for u, v in zip(us.tolist(), log_rho_array(us).tolist()))
+
+
 def _run_rho(args, fh) -> None:
     if args.export_grid is not None:
-        grid = default_grid()
         if args.export_grid == "-":
-            export_grid_csv(grid, fh)
+            _write_rho_grid(fh)
         else:
             with _open_for_write(args.export_grid, args.export_grid) as out:
-                export_grid_csv(grid, out)
+                _write_rho_grid(out)
         return
     if args.u is None:
         raise DomainError("rho needs --u or --export-grid")
@@ -177,12 +176,13 @@ def _resolve_x(args) -> tuple:
         return args.log_x, None, "log"
     if args.x is None:
         raise DomainError("an x is required: --x or --log-x")
-    return math.log(args.x), args.x, _x_form(args.x_raw)
+    x, form = args.x
+    return math.log(x), x, form
 
 
 def _run_alpha(args, fh) -> None:
     log_x, _, form = _resolve_x(args)
-    table = _table_for(args.y, args.max_sieve)
+    table = sieve_primes(math.ceil(args.y))
     state = solve_alpha(log_x, table, args.y)
     meta = {"subcommand": "alpha", "x_form": form, "log_x": log_x,
             "y": args.y, "format": args.format}
@@ -191,6 +191,8 @@ def _run_alpha(args, fh) -> None:
 
 def _run_psi(args, fh) -> None:
     log_x, x_exact, form = _resolve_x(args)
+    if x_exact is None and args.method != "enum":
+        raise DomainError(f"method {args.method} needs an exact --x, not --log-x")
     if args.y < 2.0:
         raise DomainError(f"psi needs y >= 2, got y={args.y}")
     # primes above x never enter a factorization of n <= x, so the table
@@ -201,19 +203,15 @@ def _run_psi(args, fh) -> None:
         y_eff = min(args.y, math.floor(math.exp(log_x)) + 1.0)
     table = None
     if args.method in ("enum", "buchstab", "all"):
-        table = _table_for(y_eff, args.max_sieve)
+        table = sieve_primes(math.ceil(y_eff))
 
     results = []
     if args.method in ("enum", "all"):
         results.append(psi_enumerate(log_x, table, y_eff, x_exact=x_exact,
                                      max_count=args.max_count))
     if args.method in ("sieve", "all"):
-        if x_exact is None:
-            raise DomainError("method sieve needs an exact --x, not --log-x")
         results.append(psi_sieve(x_exact, y_eff))
     if args.method in ("buchstab", "all"):
-        if x_exact is None:
-            raise DomainError("method buchstab needs an exact --x, not --log-x")
         results.append(psi_buchstab(x_exact, table, y_eff))
     counts = {r.count for r in results}
     if len(counts) != 1:
@@ -221,21 +219,20 @@ def _run_psi(args, fh) -> None:
             "methods disagree: " + ", ".join(f"{r.method}={r.count}" for r in results))
 
     meta = {"subcommand": "psi", "x_form": form, "log_x": log_x, "y": args.y,
-            "method": args.method, "max_count": args.max_count,
-            "max_sieve": args.max_sieve, "format": args.format}
+            "method": args.method, "max_count": args.max_count, "format": args.format}
     _emit(args, meta, [asdict(r) for r in results], fh, scalar=counts.pop())
 
 
 def _run_compare(args, fh) -> None:
-    log_xs = [(math.log(n), n, form) for n, form in args.x_parsed]
+    log_xs = [(math.log(n), n, form) for n, form in (args.x or [])]
     log_xs += [(lx, None, "log") for lx in (args.log_x or [])]
     if not log_xs:
         # no x given: take the largest one the caps admit at this c
-        probe = _table_for(min(1e6, args.max_sieve), args.max_sieve)
+        probe = sieve_primes(10**6)
         lx = largest_feasible_log_x(args.c, probe, max_count=args.max_count)
         log_xs = [(lx, None, "auto")]
     max_y = max(regime_y(lx, args.c) for lx, _, _ in log_xs)
-    table = _table_for(max(max_y, 3.0), args.max_sieve)
+    table = sieve_primes(math.ceil(max(max_y, 3.0)))
     records = [regime_record(lx, args.c, table, x_exact=n, max_count=args.max_count)
                for lx, n, _ in log_xs]
     meta = {"subcommand": "compare", "c": args.c,
@@ -261,7 +258,7 @@ def _run_oscillate(args, fh) -> None:
         ys = [min(args.y_min * ratio ** i, args.y_max)
               for i in range(args.y_steps - 1)]
         ys.append(args.y_max)
-    table = _table_for(args.y_max, args.max_sieve)
+    table = sieve_primes(math.ceil(args.y_max))
     records = oscillation_scan(args.c, ys, table)
     meta = {"subcommand": "oscillate", "c": args.c, "y_min": args.y_min,
             "y_max": args.y_max, "y_steps": args.y_steps, "format": args.format}
@@ -278,17 +275,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"friabilis {__version__}")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, default_format="plain", sieve=True):
-        # rho and xi build no prime table, so they take no --max-sieve
+    def common(sp, default_format="plain"):
         sp.add_argument("--format", choices=("plain", "csv", "json"),
                         default=default_format)
         sp.add_argument("--output", default=None, metavar="PATH")
-        if sieve:
-            sp.add_argument("--max-sieve", type=_finite, default=1e8,
-                            help="largest prime table (default 1e8)")
 
     def x_args(sp):
-        sp.add_argument("--x", type=str, default=None,
+        sp.add_argument("--x", type=_parse_x, default=None,
                         help="x as decimal or scientific (1e18)")
         sp.add_argument("--log-x", type=_finite, default=None,
                         help="log x, for x too large to write out")
@@ -302,11 +295,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--log", action="store_true", help="print log rho instead")
     sp.add_argument("--export-grid", default=None, metavar="PATH",
                     help="write the rho grid as CSV (- for stdout)")
-    common(sp, sieve=False)
+    common(sp)
 
     sp = sub.add_parser("xi", help="xi(u): the nonzero root of e^xi = 1 + u xi")
     sp.add_argument("--u", type=_finite, required=True)
-    common(sp, sieve=False)
+    common(sp)
 
     sp = sub.add_parser("alpha", help="saddle point alpha(x, y)")
     x_args(sp)
@@ -323,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="regime records: measured vs predicted gap")
     sp.add_argument("--c", type=_finite, required=True)
-    sp.add_argument("--x", type=str, action="append",
+    sp.add_argument("--x", type=_parse_x, action="append",
                     help="x value, repeatable; omit to auto-select the largest feasible")
     sp.add_argument("--log-x", type=_finite, action="append")
     sp.add_argument("--max-count", type=_finite, default=1e8)
@@ -351,17 +344,7 @@ _BODIES = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if args.subcommand in ("psi", "alpha") and args.x is not None:
-            args.x_raw = args.x
-            args.x = _parse_x(args.x)
-        elif args.subcommand == "compare":
-            args.x_parsed = [(_parse_x(t), _x_form(t)) for t in (args.x or [])]
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))  # exits 2, matching argparse usage errors
-
+    args = _build_parser().parse_args(argv)
     out = None
     try:
         if args.output:

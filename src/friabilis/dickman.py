@@ -288,9 +288,3 @@ def build_rho_grid(u_max: float = 128.0) -> RhoGrid:
 def default_grid() -> RhoGrid:
     """Shared module-level grid (u_max 128, h 1/128), built on first use."""
     return build_rho_grid()
-
-
-def export_grid_csv(grid: RhoGrid, fh) -> None:
-    """Write u,log_rho rows at every grid node, 17 significant digits."""
-    fh.write("u,log_rho\n")
-    fh.writelines(f"{i * grid.h:.17g},{v:.17g}\n" for i, v in enumerate(grid.log_rho.tolist()))

@@ -7,6 +7,13 @@ NumericError signals a solver that failed to converge on valid input,
 which is a bug, so it is never caught internally.
 """
 
+from decimal import Decimal
+
+
+def short_int(n: int) -> str:
+    """n for a one-line message: whole up to 30 digits, else as 1.000e+400."""
+    return str(n) if n < 10**30 else f"{Decimal(n):.3e}"
+
 
 class FriabilisError(Exception):
     pass
@@ -21,14 +28,7 @@ class RangeError(DomainError):
 
 
 class ResourceError(FriabilisError):
-    """A configurable work cap would be exceeded.
-
-    Carries ``estimate`` (predicted work or count) when one is available.
-    """
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
+    """A work cap (a count, an x, a y or a prime table) would be exceeded."""
 
 
 class NumericError(FriabilisError):

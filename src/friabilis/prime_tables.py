@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dickman import EULER_GAMMA, int_exp
-from .errors import DomainError, RangeError, ResourceError
+from .errors import DomainError, RangeError, ResourceError, short_int
 
 # li(2) to 30 digits, the correctly rounded double that li(2) returns
 LI2 = 1.04516378011749278484458888919
@@ -31,7 +31,8 @@ LI2 = 1.04516378011749278484458888919
 # The first segment must hold every sieving prime, i.e. sqrt(_MAX_LIMIT).
 _SEGMENT = 1 << 20
 
-_MAX_LIMIT = 10**9
+# the one cap on prime tables; the CLI builds every table through sieve_primes
+_MAX_LIMIT = 10**8
 
 # exact_sum extracts one block at a time, so that the block and its two
 # work buffers stay in cache: a 664,579-term prime sum takes 3.2 to 3.9 ms
@@ -155,13 +156,13 @@ def _sieve(limit: int) -> np.ndarray:
 def sieve_primes(limit: int) -> PrimeTable:
     """Build a PrimeTable for all primes <= limit.
 
-    Raises DomainError for limit < 2 and ResourceError beyond 10**9.
+    Raises DomainError for limit < 2 and ResourceError beyond 10**8.
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     limit = int(limit)
     if limit > _MAX_LIMIT:
-        raise ResourceError(f"sieve limit {limit} exceeds cap {_MAX_LIMIT}", estimate=limit)
+        raise ResourceError(f"sieve limit {short_int(limit)} exceeds cap {_MAX_LIMIT}")
     primes = _sieve(limit)
     return PrimeTable(limit=limit, primes=primes, log_primes=np.log(primes.astype(np.float64)))
 

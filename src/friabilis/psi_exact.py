@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, short_int
 from .prime_tables import PrimeTable, sieve_primes
 from .saddle import psi_saddle
 
@@ -56,9 +56,7 @@ def _preflight(log_x: float, table: PrimeTable, y: float, max_count: float) -> i
     low = float(np.floor(log_x / math.log(2.0) - eps)) + 1.0
     if low > max_count:
         raise ResourceError(
-            f"the {low:.3g} powers of 2 up to x alone exceed the cap {max_count:.3g}",
-            estimate=low,
-        )
+            f"the {low:.3g} powers of 2 up to x alone exceed the cap {max_count:.3g}")
     # saddle estimate where it is defined; plain x as the bound when u < 2
     u = log_x / math.log(y)
     est_log = psi_saddle(log_x, table, y) if u >= 2.0 else log_x
@@ -68,9 +66,7 @@ def _preflight(log_x: float, table: PrimeTable, y: float, max_count: float) -> i
     est_log = min(est_log, float(np.log1p(np.floor(log_x / table.log_primes[:k])).sum()))
     if est_log > math.log(max_count):
         raise ResourceError(
-            f"estimated count exp({est_log:.2f}) exceeds the cap {max_count:.3g}",
-            estimate=math.exp(min(est_log, 700.0)),
-        )
+            f"estimated count exp({est_log:.2f}) exceeds the cap {max_count:.3g}")
     return k
 
 
@@ -114,8 +110,7 @@ class _Friables:
             if not n:
                 continue
             if self.size + n >= 2**31:  # member numbers and powers are int32
-                raise ResourceError(f"a friable set would pass 2^31 members at p = {p}",
-                                    estimate=float(self.size + n))
+                raise ResourceError(f"a friable set would pass 2^31 members at p = {p}")
             power = np.repeat(es.astype(np.int32), m)
             src = np.arange(n) - np.repeat(np.cumsum(m) - m, m)
             new_logs.append(logs[src] + power * lp)
@@ -248,7 +243,7 @@ def psi_sieve(x, y) -> PsiResult:
     if not y >= 2.0:
         raise DomainError(f"psi_sieve needs y >= 2, got {y}")
     if x > _SIEVE_MAX_X:
-        raise ResourceError(f"x = {x} exceeds the sieve cap {_SIEVE_MAX_X}", estimate=float(x))
+        raise ResourceError(f"x = {short_int(x)} exceeds the sieve cap {_SIEVE_MAX_X}")
     if y >= x:
         return PsiResult(log_x=math.log(x), y=y, count=x, method="sieve")
 
@@ -327,15 +322,12 @@ def psi_buchstab(x, table: PrimeTable, y) -> PsiResult:
     if y < 2.0:
         raise DomainError(f"psi_buchstab needs y >= 2, got {y}")
     if x > _BUCHSTAB_MAX_X:
-        raise ResourceError(f"x = {x} exceeds the Buchstab cap {_BUCHSTAB_MAX_X}",
-                            estimate=float(x))
+        raise ResourceError(f"x = {short_int(x)} exceeds the Buchstab cap {_BUCHSTAB_MAX_X}")
     if x >= 2**63:
-        raise ResourceError(f"x = {x} does not fit the int64 quotients (x < 2^63)",
-                            estimate=float(x))
+        raise ResourceError(f"x = {short_int(x)} does not fit the int64 quotients (x < 2^63)")
     k = table.pi(y)  # before the y cap, so a y of nan or inf is a RangeError
     if y > _BUCHSTAB_MAX_Y:
-        raise ResourceError(f"y = {y} exceeds the Buchstab cap {_BUCHSTAB_MAX_Y}",
-                            estimate=float(y))
+        raise ResourceError(f"y = {y} exceeds the Buchstab cap {_BUCHSTAB_MAX_Y}")
     n = np.array([x], dtype=np.int64)
     w = np.ones(1, dtype=np.int64)
     count = 0

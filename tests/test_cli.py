@@ -3,7 +3,6 @@
 import argparse
 import decimal
 import hashlib
-import io
 import json
 import math
 import subprocess
@@ -205,21 +204,24 @@ BAD_INPUTS = [
     (["compare", "--c", "1.5", "--log-x", "0"], 3),
     (["compare", "--c", "0.7", "--log-x", "-3"], 3),
     (["compare", "--c", "1.5", "--log-x", "1e300"], 3),   # (log x)^c overflows
-    (["compare", "--c", "1.5", "--log-x", "1e200"], 4),   # beyond --max-sieve
+    (["compare", "--c", "1.5", "--log-x", "1e200"], 4),   # prime table beyond its cap
     (["oscillate", "--c", "1.5", "--y-min", "0", "--y-max", "1e3", "--y-steps", "3"], 3),
     (["oscillate", "--c", "1.5", "--y-min", "-5", "--y-max", "1e3", "--y-steps", "3"], 3),
     (["alpha", "--log-x", "1e300", "--y", "100"], 3),     # alpha below the solver floor
     (["alpha", "--log-x", "1.7e308", "--y", "2"], 3),     # u past xi's range, alpha as well
     (["xi", "--u", "1e308"], 3),                          # e^xi passes the largest double
     (["psi", "--log-x", "1e300", "--y", "3"], 4),         # the powers of 2 alone pass the cap
-    (["alpha", "--x", "1e10", "--y", "1e300"], 4),        # prime table beyond --max-sieve
+    (["alpha", "--x", "1e10", "--y", "1e300"], 4),        # prime table beyond its cap
+    (["primes", "--limit", "1" + "0" * 400], 4),          # a limit past any float
     (["psi", "--x", "2e8", "--y", "100", "--method", "sieve"], 4),  # the sieve's own x cap
-    (["compare", "--c", "1.2", "--max-sieve", "10"], 4),  # no feasible x: the table binds
+    (["psi", "--x", "1e400", "--y", "100", "--method", "sieve"], 4),  # x past any float
+    (["psi", "--x", "1e400", "--y", "100", "--method", "buchstab"], 4),
+    (["psi", "--log-x", "20", "--y", "100", "--method", "all"], 3),  # refused before counting
     (["compare", "--c", "1.2", "--max-count", "3"], 4),   # no feasible x: the count binds
 ]
 
 
-@pytest.mark.parametrize("argv,code", BAD_INPUTS, ids=["_".join(a) for a, _ in BAD_INPUTS])
+@pytest.mark.parametrize("argv,code", BAD_INPUTS, ids=["_".join(a)[:60] for a, _ in BAD_INPUTS])
 def test_bad_input_typed_exit(argv, code):
     proc = run_proc(argv)
     assert proc.returncode == code
@@ -357,9 +359,9 @@ def test_bad_x_is_usage_error(argv, message, capsys):
 
 def test_parse_x_exact_up_to_the_digit_cap(capsys):
     cap = cli._MAX_X_DIGITS
-    assert cli._parse_x("100e-2") == cli._parse_x("1.000") == 1
-    assert cli._parse_x("12.5e3") == 12500
-    assert cli._parse_x("1e" + str(cap - 1)) == 10 ** (cap - 1)
+    assert cli._parse_x("100e-2")[0] == cli._parse_x("1.000")[0] == 1
+    assert cli._parse_x("12.5e3")[0] == 12500
+    assert cli._parse_x("1e" + str(cap - 1))[0] == 10 ** (cap - 1)
     with pytest.raises(argparse.ArgumentTypeError, match="--log-x"):
         cli._parse_x("1e" + str(cap))
     # 2^k <= 10^5000 for k up to floor(5000 log2 10) = 16609
@@ -403,22 +405,17 @@ def test_methods_disagree_exit_5(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_compare_auto_respects_max_sieve(monkeypatch, capsys):
-    limits = []
-    real = cli.sieve_primes
-    monkeypatch.setattr(cli, "sieve_primes", lambda n: limits.append(n) or real(n))
-    code, out = run_cli(["compare", "--c", "1.5", "--max-sieve", "1000",
-                         "--max-count", "1e5"], capsys)
-    assert code == 0
-    [rec] = read_regime_csv(io.StringIO(out))
-    assert rec.y <= 1000
-    assert limits and max(limits) <= 1000
+@pytest.mark.parametrize("method", ["buchstab", "all"])
+def test_log_x_refused_before_counting(method, monkeypatch, capsys):
+    # the exact methods need an exact x; the enumerator must not run first
+    def counted(*args, **kwargs):
+        raise AssertionError("psi_enumerate ran before the refusal")
 
-
-def test_max_sieve_bounds_only_prime_tables(capsys):
-    # the sieve builds no prime table, so --max-sieve does not cap its x
-    argv = ["psi", "--x", "1e6", "--y", "100", "--method", "sieve", "--max-sieve", "1000"]
-    assert run_cli(argv, capsys) == (0, "72271\n")
+    monkeypatch.setattr(cli, "psi_enumerate", counted)
+    code = main(["psi", "--log-x", "41.4", "--y", "41.4", "--method", method])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"domain error: method {method} needs an exact --x, not --log-x\n"
 
 
 def test_primes_limit_2_lists_only_2(capsys):

@@ -257,9 +257,8 @@ def test_psi_saddle_tracks_exact(table):
 
 
 def test_enumerate_preflight(table):
-    with pytest.raises(ResourceError) as exc:
+    with pytest.raises(ResourceError, match="estimated count"):
         psi_enumerate(math.log(1e10), table, 1e4)
-    assert exc.value.estimate is not None and exc.value.estimate > 1e8
     # u < 2 branch: the count is bounded by x itself
     with pytest.raises(ResourceError):
         psi_enumerate(math.log(1e9), table, 1e6)

@@ -6,7 +6,6 @@ and for rho the dilogarithm closed form on [2, 3] (mpmath), quadrature of
 the integral identity, and a fixed-point grid march (rho_march.py).
 """
 
-import io
 import math
 import sys
 
@@ -15,11 +14,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from friabilis.cli import main
 from friabilis.dickman import (
     RHO_U_MAX,
     build_rho_grid,
     default_grid,
-    export_grid_csv,
     int_exp,
     log_rho_array,
     rho,
@@ -426,15 +425,13 @@ def test_rho_asymptotic_trend():
 # --- export ------------------------------------------------------------------------
 
 
-def test_export_grid_csv_roundtrip(grid):
-    fh = io.StringIO()
-    export_grid_csv(grid, fh)
-    lines = fh.getvalue().splitlines()
+def test_export_grid_csv_roundtrip(grid, capsys):
+    # rho --export-grid evaluates the nodes itself; its rows read back to
+    # the default grid, node for node
+    assert main(["rho", "--export-grid", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "u,log_rho"
     assert len(lines) == len(grid.log_rho) + 1
-    u0, lr0 = lines[1].split(",")
-    assert float(u0) == 0.0 and float(lr0) == 0.0
-    mid = len(grid.log_rho) // 2
-    um, lrm = lines[mid + 1].split(",")
-    assert float(um) == mid * grid.h
-    assert float(lrm) == grid.log_rho[mid]
+    us, log_rhos = zip(*(map(float, line.split(",")) for line in lines[1:]))
+    assert list(us) == [i * grid.h for i in range(len(grid.log_rho))]
+    assert list(log_rhos) == grid.log_rho.tolist()

@@ -144,8 +144,11 @@ def test_log_primes_exact(table_1e6):
 def test_sieve_domain_errors():
     with pytest.raises(DomainError):
         sieve_primes(1)
-    with pytest.raises(ResourceError):
-        sieve_primes(10**10)
+    with pytest.raises(ResourceError, match="sieve limit 100000001 exceeds cap 100000000"):
+        sieve_primes(10**8 + 1)
+    # a limit past any float is named by its leading digits, in one short line
+    with pytest.raises(ResourceError, match=r"sieve limit 1\.000e\+400 exceeds"):
+        sieve_primes(10**400)
 
 
 # --- chebyshev psi -----------------------------------------------------------

@@ -199,6 +199,12 @@ def test_feasible_limit_probes_each_point_once(table, monkeypatch):
     assert len(calls) <= 60
 
 
+def test_feasible_limit_bound_by_the_table():
+    # at log x = 9, y = 9^1.2 = 13.97 already passes a table of the primes up to 10
+    with pytest.raises(ResourceError, match="exceeds the prime table limit 10"):
+        th.largest_feasible_log_x(1.2, sieve_primes(10))
+
+
 def test_eq6_lower_bound_shape(table):
     # Psi/(x rho) >= {c e^-gamma/(c-1)} e^{log zeta - I} holds only up to the
     # slowly-decaying prefactor correction log(alpha log y * c/(c-1)); at desk
