@@ -14,7 +14,10 @@ core's L2 cache) and start at 1 mod 360360, so the powers of 2 to 13 that
 divide 360360 are multiplied once per call into a base segment (a wheel)
 that every segment copies.
 psi_buchstab applies Buchstab's identity one prime at a time to an array
-of distinct quotients of x.
+of distinct quotients of x, sorting only the terms no identity closes: the
+primes above the cube root of x are counted in one vectorised pass, a
+quotient below its prime is counted where it is made, and Psi(n, 3) has a
+closed form.
 """
 
 import math
@@ -295,19 +298,53 @@ def _bit_length(n: np.ndarray) -> np.ndarray:
 
 
 _BUCHSTAB_MAX_X, _BUCHSTAB_MAX_Y = 10**12, 10**5  # the largest x and y psi_buchstab takes
+_PAIR_BLOCK = 2**16  # (i, j) pairs psi_buchstab forms at once in its pass over the large primes
+
+
+def _psi_3(n: np.ndarray, w: np.ndarray) -> int:
+    """sum of w * Psi(n, 3) over n >= 1, in log_3 n passes.
+
+    The 3-friable m <= n are the 3^j 2^e, and bit_length(n // 3^j) of them
+    have 3-part 3^j.
+    """
+    total = 0
+    while n.size:
+        total += int((w * _bit_length(n)).sum())
+        n = n // 3
+        keep = n > 0
+        n, w = n[keep], w[keep]
+    return total
 
 
 def psi_buchstab(x, table: PrimeTable, y) -> PsiResult:
     """Buchstab's identity applied one prime at a time, top down.
 
     Psi(n, p) = sum over e >= 0 of Psi(n // p^e, p-), where p- is the prime
-    below p (Buchstab 1949; de Bruijn 1951). The count is held as a sum
-    of w * Psi(n, p) over distinct quotients n with int64 multiplicities
-    w, starting from x with w = 1. At each prime p from p_k = largest
-    prime <= y down to 3, a term with n <= p is worth n * w (every m <= n
-    is p-friable) and is dropped; every other n also spawns n // p^e for
-    e >= 1 while that is >= 1, and equal quotients merge. Below 3 only
-    the powers of two are left: a term is worth w * bit_length(n).
+    below p (Buchstab 1949; de Bruijn 1951). Let P be the primes up to y,
+    P[0] = 2, and b the first index with P[b]^3 > x. Three identities count
+    most terms where they arise, so only the rest are sorted:
+
+    1. Each prime P[i] with i >= max(b, 1), in one vectorised pass; x stays
+       as a term at the index below. Put m = x // P[i]. For e >= 2,
+       x // P[i]^e < x / P[i]^2 < P[i], and every n < P[i] is
+       P[i-1]-friable, so that term is worth its own value. If m < P[i]
+       (P[i]^2 > x) it is worth m too. Otherwise every P[j] < P[i] is
+       <= m; let r be the largest index with P[r]^2 <= m. For r < j < i,
+       P[j]^2 > m, so only e = 1 survives and m // P[j] < P[j]:
+       Psi(m, P[i-1]) = Psi(m, P[r]) + sum over r < j < i of m // P[j].
+       So the pairs (i, j) need P[j] <= m, or they would run over primes
+       that add m // P[j] = 0: 3.1e9 of them at Psi(1e6, 1e6), y cap
+       raised. The m < P[i] rule is that bound, as it leaves only the i
+       with P[j] < P[i] <= m. P[r]^2 <= m <= x / P[b] < P[b]^2, so r < b:
+       Psi(m, P[r]) waits as a weight-1 term at level r, at or below x's.
+       An m < 4 has no r: Psi(m, 1) = 1 is added at once.
+    2. The level loop, from x's level down to the prime 5. A term n at
+       prime p spawns n // p^e for e >= 1; a quotient q < p is worth w * q
+       (every m <= q is p-friable) and is added where it is made. The rest,
+       with the terms waiting at the next level, merge in one sort.
+    3. Psi(n, 3) = sum over j of bit_length(n // 3^j): the 3-friable m <= n
+       are 3^j 2^e. The terms left at level 1 (the prime 3) close so, and
+       those at level 0 as w * bit_length(n).
 
     An x above _BUCHSTAB_MAX_X = 1e12 or a y above _BUCHSTAB_MAX_Y = 1e5
     raises ResourceError, and so does x >= 2^63 whatever the cap: quotients
@@ -328,23 +365,59 @@ def psi_buchstab(x, table: PrimeTable, y) -> PsiResult:
     k = table.pi(y)  # before the y cap, so a y of nan or inf is a RangeError
     if y > _BUCHSTAB_MAX_Y:
         raise ResourceError(f"y = {y} exceeds the Buchstab cap {_BUCHSTAB_MAX_Y}")
-    n = np.array([x], dtype=np.int64)
-    w = np.ones(1, dtype=np.int64)
+    P = table.primes[:k]
+    sq = P * P  # exact: P <= 1e6 even with the y cap raised, so P^3 < 2^63
+    top = min(max(int(np.searchsorted(sq * P, x, side="right")), 1), k)
     count = 0
-    for p in table.primes[k - 1:0:-1].tolist():
-        done = n <= p
-        count += int((n[done] * w[done]).sum())
-        n, w = n[~done], w[~done]
-        if not n.size:
-            break
+    # identity 1 over the primes P[top:k]; waiting[L] lists the m at level L
+    waiting = {}
+    p = P[top:k]
+    m = x // p
+    q, qp = m // p, p
+    while q.size:  # e >= 2
+        count += int(q.sum())
+        q = q // qp
+        keep = q > 0
+        q, qp = q[keep], qp[keep]
+    s = int(np.searchsorted(m < p, True))  # m < p from here on
+    count += int(m[s:].sum())
+    m = m[:s]
+    if m.size:
+        r = np.searchsorted(sq, m, side="right") - 1
+        pairs = np.arange(top, top + s) - r - 1
+        ends = np.cumsum(pairs)
+        a = 0
+        while a < s:  # blocks of at most _PAIR_BLOCK pairs
+            base = int(ends[a - 1]) if a else 0
+            e = int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right"))
+            c = pairs[a:e]
+            first = ends[a:e] - c - base  # each i's first pair within the block
+            j = np.arange(int(ends[e - 1]) - base) + np.repeat(r[a:e] + 1 - first, c)
+            count += int((np.repeat(m[a:e], c) // P[j]).sum())
+            a = e
+        count += int(np.count_nonzero(r < 0))
+        # m falls as i rises, so each level's terms are ascending reversed
+        r, m = r[::-1], m[::-1]
+        cut = np.flatnonzero(np.diff(r)) + 1
+        for level, part in zip(np.split(r, cut), np.split(m, cut)):
+            if level[0] >= 0:
+                waiting[int(level[0])] = part
+    empty = np.zeros(0, dtype=np.int64)
+    n = np.append(waiting.pop(top - 1, empty), x)
+    w = np.ones(n.size, dtype=np.int64)
+    for level in range(top - 1, 1, -1):
+        p = int(P[level])
         ns, ws = [n], [w]
         q, qw = n, w
         while q.size:
-            q = q // p
+            low = int(np.searchsorted(q, p * p))  # q is ascending, as n is
+            count += int((q[:low] // p) @ qw[:low])
+            q, qw = q[low:] // p, qw[low:]
             ns.append(q)
             ws.append(qw)
-            keep = q >= p
-            q, qw = q[keep], qw[keep]
+        part = waiting.pop(level - 1, empty)
+        ns.append(part)
+        ws.append(np.ones(part.size, dtype=np.int64))
         # each part is sorted, so _sorted merges runs; reduceat keeps the
         # int64 sums exact, where bincount would sum in float64
         n, w = np.concatenate(ns), np.concatenate(ws)
@@ -352,5 +425,10 @@ def psi_buchstab(x, table: PrimeTable, y) -> PsiResult:
         n, w = _sorted(n, w)
         starts = np.flatnonzero(np.r_[True, n[1:] != n[:-1]])
         n, w = n[starts], np.add.reduceat(w, starts)
-    count += int((w * _bit_length(n)).sum())
+    if top == 1:
+        count += int((w * _bit_length(n)).sum())
+    else:
+        count += _psi_3(n, w)
+    part = waiting.pop(0, empty)
+    count += int(_bit_length(part).sum())
     return PsiResult(log_x=math.log(x), y=y, count=count, method="buchstab")

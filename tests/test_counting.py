@@ -369,6 +369,68 @@ def test_buchstab_levels_hold_at_most_2_sqrt_x(table, monkeypatch):
         assert levels and max(levels) <= 2 * math.isqrt(x), (x, y, max(levels))
 
 
+def _exact(x, table, y):
+    # independent counters: the recursion up to 1e6, then the sieve, then
+    # the enumerator
+    if x <= 10**6:
+        return buchstab_recursion(x, table.primes, y)
+    if x <= 10**8:
+        return psi_sieve(x, y).count
+    return psi_enumerate(None, table, y, x_exact=x, max_count=1e12).count
+
+
+def test_buchstab_cube_edges(table):
+    # the primes p with p^3 > x are counted in one pass; x = p^3 - 1 puts p
+    # in that pass and x = p^3 keeps it in the level loop. For p >= 997 the
+    # enumerator takes 2-18 s a cell at y >= 1e4, so only y near p is checked
+    cells = [(x, y) for p in (2, 3, 5, 7, 97, 101)
+             for x in (p**3 - 1, p**3, p**3 + 1, 2 * p**3)
+             for y in (p - 0.5, p, p + 0.5, 2 * p, 1e3, 1e4, 1e5) if y >= 2]
+    cells += [(x, y) for p in (997, 1009)
+              for x, y in ((p**3 - 1, p), (p**3, p), (p**3 + 1, p + 0.5), (2 * p**3, p - 0.5))]
+    for x, y in cells:
+        assert psi_buchstab(x, table, float(y)).count == _exact(x, table, y), (x, y)
+
+
+def test_buchstab_jumped_terms_at_the_bottom(table):
+    # a prime P[i] with P[i]^2 <= x < P[i]^3 leaves m = x // P[i] waiting at
+    # the level r of the largest P[r]^2 <= m: x < 8 puts every prime above 2
+    # in the pass, and x below a few hundred lands m at level 1 (the prime 3),
+    # level 0 (the prime 2) and, at m = 3, at no level
+    P = table.primes[:30].tolist()
+    levels = set()
+    for x in range(1, 400):
+        for y in (2.0, 3.0, 5.0, 7.0, 13.0, 50.0, 1e3):
+            assert psi_buchstab(x, table, y).count == buchstab_recursion(x, table.primes, y), (x, y)
+        for p in P[1:]:  # the pass starts at the prime 3
+            if p * p <= x < p**3:
+                levels.add(sum(q * q <= x // p for q in P) - 1)
+    assert {-1, 0, 1} <= levels
+
+
+def test_buchstab_above_sqrt_x(table, monkeypatch):
+    # y > sqrt(x): each prime above sqrt(x) is worth x // p alone
+    monkeypatch.setattr(psi_exact, "_BUCHSTAB_MAX_Y", 10**6)
+    for x, y in ((10**6, 1001.0), (10**6, 5e5), (10**6, 1e6), (999_983, 1e6), (2 * 10**6, 1e6),
+                 (10**7, 3163.0), (10**7, 1e6)):
+        assert psi_buchstab(x, table, y).count == psi_sieve(x, y).count, (x, y)
+
+
+def test_buchstab_sorts_only_what_it_cannot_close(table, monkeypatch):
+    # the primes above cbrt(x) make no level, quotients below p are counted
+    # where they are made, and the prime 3 closes without a sort: at most
+    # pi(464) = 90 sorts at Psi(1e8, 1e4) (a sort per prime made 1,228),
+    # and under 250,000 entries in the largest at Psi(1e10, 300) (396,013)
+    sizes = []
+    real = psi_exact._sorted
+    monkeypatch.setattr(psi_exact, "_sorted", lambda n, w: sizes.append(n.size) or real(n, w))
+    assert psi_buchstab(10**8, table, 1e4).count == 33268090
+    assert 0 < len(sizes) <= 90
+    sizes.clear()
+    assert psi_buchstab(10**10, table, 300.0).count == 69_217_415
+    assert 0 < max(sizes) < 250_000
+
+
 def test_result_fields(table):
     r = psi_sieve(1000, 7.0)
     assert r.method == "sieve" and r.y == 7.0 and r.boundary_ambiguous == 0
