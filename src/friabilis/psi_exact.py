@@ -6,13 +6,18 @@ searchsorted. x can be astronomically large when y is small (the regime
 where u = log x/log y is big). Exactness at the x boundary is restored by
 big-integer resolution of guard-band hits, whose exact values are rebuilt
 from links each set member keeps to the member it extends.
-psi_sieve is a segmented sieve for x up to 1e8 that multiplies the powers
-of the primes up to min(y, sqrt(x)) into an int32 array, so that entry n
-holds that friable part of n, and keeps the n whose cofactor is at most y.
-Its segments hold 360360 = 2^3 3^2 5 7 11 13 numbers (1.4 MB, inside a
-core's L2 cache) and start at 1 mod 360360, so the powers of 2 to 13 that
-divide 360360 are multiplied once per call into a base segment (a wheel)
-that every segment copies.
+psi_sieve is a segmented sieve for x up to 1e8 over the m prime to 6 only.
+Each y-friable n <= x is one s = 2^a 3^b (3 only when y >= 3) times one
+y-friable m prime to 6, so Psi(x, y) is the sum over s of the number of such
+m <= x // s. The m = 6 i + r, r = 1 or 5, are two int32 arrays over i, a
+third of the numbers up to x; the powers of the primes 5 <= p <= min(y,
+sqrt(x)) are multiplied in along strides of i, so that entry i holds that
+friable part of m, and the m whose cofactor is at most y are counted
+against the limits (x // s - r) // 6 by one searchsorted. A segment holds
+360360 = 2^3 3^2 5 7 11 13 indices of a class (1.4 MB, inside a core's L2
+cache), so the powers of 5, 7, 11 and 13 that divide 360360 are multiplied
+once per call into a base segment of each class (a wheel) that every
+segment copies.
 psi_buchstab applies Buchstab's identity one prime at a time to an array
 of distinct quotients of x, sorting only the terms no identity closes: the
 primes above the cube root of x are counted in one vectorised pass, a
@@ -213,31 +218,43 @@ def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
                      boundary_ambiguous=hits)
 
 
-_SEGMENT = 360360  # numbers per psi_sieve segment: 2^3 3^2 5 7 11 13
+_SEGMENT = 360360  # indices per class in a psi_sieve segment: 2^3 3^2 5 7 11 13
 _SIEVE_MAX_X = 10**8  # the largest x psi_sieve counts
 
 
 def psi_sieve(x, y) -> PsiResult:
-    """Count by multiplying prime powers p^j <= x into an array of ones.
+    """Count by sieving the n prime to 6 and weighting them by the 3-smooth s.
 
-    Entry n collects p once for each p^j dividing it, for every prime p up
-    to top = min(y, isqrt(x)) (at least 2), so it ends as the top-friable
-    part a of n. The cofactor n/a has only primes above top. If top is
-    floor(y), n is y-friable exactly when n = a. Otherwise top = isqrt(x)
+    Every n <= x is s m with s = 2^a 3^b and m prime to 6, in one way, and
+    n is y-friable exactly when m is and s holds no prime above y. So
+    Psi(x, y) = sum over the s <= x built from the primes 2 and 3 that are
+    <= y of #{m <= x // s : gcd(m, 6) = 1, m y-friable}. The s are listed
+    with Python ints, and only the m are sieved.
+
+    The m prime to 6 are m = 6 i + r for r = 1 and 5, each class an array
+    over i. A prime power q prime to 6 divides 6 i + r exactly when
+    i = -r 6^-1 mod q, so it hits one stride of q in each class. Entry i
+    collects p once for each such p^j dividing m, for every prime 5 <= p
+    <= top = min(y, isqrt(x)) (at least 2), so it ends as the top-friable
+    part a of m. The cofactor m/a has only primes above top. If top is
+    floor(y), m is y-friable exactly when m = a. Otherwise top = isqrt(x)
     < y, and the cofactor is 1 or one prime above isqrt(x), since two such
-    primes, or the square of one, pass x; then n is y-friable exactly when
-    n <= a floor(y), a product taken in int64. So no prime above sqrt(x)
-    is sieved at all. a <= n <= _SIEVE_MAX_X = 1e8 < 2^31, so int32 holds
-    it; an x above _SIEVE_MAX_X raises ResourceError.
+    primes, or the square of one, pass x; then m is y-friable exactly when
+    m <= a floor(y), a product taken in int64. So no prime above sqrt(x)
+    is sieved at all, and no power of 2 or 3. a <= m <= _SIEVE_MAX_X = 1e8
+    < 2^31, so int32 holds it; an x above _SIEVE_MAX_X raises
+    ResourceError. The friable i of a class r are counted once for each
+    limit (x // s - r) // 6 they do not pass, by one searchsorted.
 
-    The numbers are cut into segments of _SEGMENT, each starting at 1 mod
-    _SEGMENT: 360360 int32 entries are 1.4 MB, so the strided passes over
-    a segment stay in a 2 MiB L2 cache. A prime power q dividing _SEGMENT
-    hits the same offsets q - 1, 2q - 1, ... in every segment, so those q
-    are multiplied once per call into a base segment (the wheel) that each
-    segment starts as a copy of, and the loop over strides runs only for
-    the other powers. Any _SEGMENT works; at a prime one such as 1009 the
-    wheel is all ones unless 1009 <= top.
+    Each class is cut into segments of _SEGMENT indices, so a segment spans
+    6 _SEGMENT numbers: 360360 int32 entries are 1.4 MB, and the strided
+    passes over a segment stay in a 2 MiB L2 cache. A prime power q
+    dividing _SEGMENT (at 360360 the powers of 5, 7, 11 and 13 in it) hits
+    the same offsets in every segment, so those q are multiplied once per
+    call into a base segment of each class (the wheel) that each segment
+    starts as a copy of, and the loop over strides runs only for the other
+    powers. Any _SEGMENT works; at a prime one such as 1009 the wheel is
+    all ones unless 1009 <= top.
     """
     x = int(x)
     y = float(y)
@@ -253,36 +270,54 @@ def psi_sieve(x, y) -> PsiResult:
     seg = _SEGMENT
     fy = int(y)
     top = max(2, min(fy, math.isqrt(x)))
-    base = np.ones(min(seg, x), dtype=np.int32)
-    powers = []  # (q, p) for the powers q = p^j <= x that the wheel lacks
-    for p in sieve_primes(top).primes.tolist():
+    quotients = []  # x // s for the s = 2^a 3^b <= x, with b = 0 when y < 3
+    t = 1
+    while t <= x:
+        s = t
+        while s <= x:
+            quotients.append(x // s)
+            s *= 2
+        if fy < 3:
+            break
+        t *= 3
+    wheel, powers = [], []  # (q, p, 6^-1 mod q) for the powers q = p^j <= x, p >= 5
+    for p in sieve_primes(top).primes[2:].tolist():
         q = p
-        while seg % q == 0:
-            base[q - 1::q] *= p
-            q *= p
         while q <= x:
-            powers.append((q, np.int32(p)))
+            (powers if seg % q else wheel).append((q, np.int32(p), pow(6, -1, q)))
             q *= p
     powers.sort()
 
     count = 0
-    for lo in range(1, x + 1, seg):
-        hi = min(lo + seg, x + 1)
-        acc = base[:hi - lo].copy()
-        for q, p in powers:
-            if q >= hi:
-                break
-            start = -lo % q
-            if start < hi - lo:
-                # an int32 p and out= (no write-back by __setitem__) take
-                # a fifth off numpy's per-call cost, most of a large q's
-                view = acc[start::q]
-                np.multiply(view, p, out=view)
-        n = np.arange(lo, hi, dtype=np.int32)
-        # the int64 test holds for every y; the int32 equality, about a third
-        # of its cost per segment, suffices when top = floor(y)
-        friable = n <= acc.astype(np.int64) * fy if top < fy else acc == n
-        count += int(np.count_nonzero(friable))
+    for r in (1, 5):
+        size = (x - r) // 6 + 1  # the i with 6 i + r <= x
+        if size <= 0:
+            continue
+        limits = np.array([(v - r) // 6 for v in quotients if v >= r], dtype=np.int64)
+        base = np.ones(min(seg, size), dtype=np.int32)
+        for q, p, inv in wheel:
+            base[-r * inv % q::q] *= p
+        strides = [(q, p, -r * inv % q) for q, p, inv in powers]
+        ramp = np.arange(r, 6 * base.size + r, 6, dtype=np.int32)  # 6 i + r over a segment
+        for lo in range(0, size, seg):
+            hi = min(lo + seg, size)
+            acc = base[:hi - lo].copy()
+            last = 6 * (hi - 1) + r
+            for q, p, off in strides:
+                if q > last:
+                    break
+                start = (off - lo) % q
+                if start < hi - lo:
+                    # an int32 p and out= (no write-back by __setitem__) take
+                    # a fifth off numpy's per-call cost, most of a large q's
+                    view = acc[start::q]
+                    np.multiply(view, p, out=view)
+            m = ramp[:hi - lo] + 6 * lo
+            # the int64 test holds for every y; the int32 equality, about a third
+            # of its cost per segment, suffices when top = floor(y)
+            friable = m <= acc.astype(np.int64) * fy if top < fy else acc == m
+            found = np.flatnonzero(friable)
+            count += int(np.searchsorted(found, limits - lo, side="right").sum())
     return PsiResult(log_x=math.log(x), y=y, count=count, method="sieve")
 
 

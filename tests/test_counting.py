@@ -321,19 +321,28 @@ def test_sieve_caps_and_segments(table, monkeypatch):
 
 
 def test_sieve_wheel_and_large_primes(table, monkeypatch):
-    # psi_sieve pre-fills the powers of the primes dividing _SEGMENT once per
-    # call (the wheel) and, for y above isqrt(x), sieves only the primes up
-    # to isqrt(x) and keeps n whose cofactor is at most y. The cells end
-    # below a segment end, just before, on and just after the second, and
-    # cut the wheel short (y = 2, 2.5, 7, 11.9); then y passes isqrt(x), so
-    # the cofactor primes fall below the segment length (y = 2 isqrt(x))
-    # and, past 2 seg at the three patched lengths, above it (y = 0.75 x).
-    # Every cell runs at every segment length
+    # psi_sieve sieves the m = 6 i + r prime to 6 in segments of seg indices
+    # per class (6 seg numbers), pre-fills the powers of the primes >= 5
+    # dividing _SEGMENT once per call (the wheel) and, for y above isqrt(x),
+    # sieves only the primes up to isqrt(x) and keeps m whose cofactor is at
+    # most y. The cells x = seg // 2 + 1 and 2 seg + (-1, 0, 1) end inside
+    # the first segment of a class; x = 6 k seg + d, k = 1 and 2, d in
+    # -5..5, put the last m of each class just before, on and just after
+    # the end of the first and the second segment, with the wheel cut short
+    # (y = 2, 2.5, 7, 11.9). Then y passes isqrt(x), so the cofactor primes
+    # fall below the segment length (y = 2 isqrt(x)) and, past 2 seg at the
+    # three patched lengths, above it (y = 0.75 x); at seg = 1000 and 1009
+    # also at the class-space segment ends. Every cell runs at every
+    # segment length
     segments = (1000, 1009, 30030, psi_exact._SEGMENT)
     cells = set()
     for seg in segments:
-        for x in (seg // 2 + 1, 2 * seg - 1, 2 * seg, 2 * seg + 1):
+        edges = [seg // 2 + 1, 2 * seg - 1, 2 * seg, 2 * seg + 1]
+        edges += [6 * k * seg + d for k in (1, 2) for d in range(-5, 6)]
+        for x in edges:
             cells.update((x, y) for y in (2.0, 2.5, 7.0, 11.9))
+            if seg < 2000:
+                cells.update(((x, 2.0 * math.isqrt(x)), (x, 0.75 * x)))
     for x in (501, 2001, 2019, 60061, psi_exact._SEGMENT // 2 + 1):
         cells.update(((x, 2.0 * math.isqrt(x)), (x, 0.75 * x)))
     want = {}
@@ -345,6 +354,41 @@ def test_sieve_wheel_and_large_primes(table, monkeypatch):
         monkeypatch.setattr(psi_exact, "_SEGMENT", seg)
         for x, y in sorted(cells):
             assert psi_sieve(x, y).count == want[x, y], (seg, x, y)
+
+
+def test_sieve_closed_forms_below_5(monkeypatch):
+    # below y = 5 psi_sieve sieves no prime and counts only m = 1 under
+    # each 3-smooth s, so its count is the number of those s: for y < 3 the
+    # powers of 2 (x.bit_length()), for 3 <= y < 5 the 2^a 3^b, taken here
+    # in Python ints. The x run over small values, powers of 2 and both
+    # sides of the class-space segment ends 6 k _SEGMENT. It needs none of
+    # psi_buchstab's helpers, so a fault there cannot reach it
+    for name in ("_bit_length", "_psi_3", "_sorted"):
+        monkeypatch.setattr(psi_exact, name, None)
+    span = 6 * psi_exact._SEGMENT
+    xs = set(range(1, 201))
+    xs.update(v for k in range(1, 27) for v in (2**k - 1, 2**k))
+    xs.update(k * span + d for k in (1, 2, 5, 10**8 // span) for d in (-1, 0, 1))
+    xs.add(10**8)
+    for x in sorted(xs):
+        powers_of_2 = x.bit_length()
+        three_smooth, t = 0, 1
+        while t <= x:
+            three_smooth += (x // t).bit_length()
+            t *= 3
+        for y in (2.0, 2.5, 2.99):
+            assert psi_sieve(x, y).count == powers_of_2, (x, y)
+        for y in (3.0, 4.5):
+            assert psi_sieve(x, y).count == three_smooth, (x, y)
+
+
+def test_sieve_every_small_x(table):
+    # with x = 25, 49, 121, 125, ... the last m of a class is the prime power
+    # a stride must still reach
+    primes = table.primes[:10].tolist()
+    for x in range(1, 300):
+        for y in (5.0, 7.0, 13.0):
+            assert psi_sieve(x, y).count == brute(x, y, primes), (x, y)
 
 
 def test_buchstab_caps(table, monkeypatch):
