@@ -19,10 +19,11 @@ cache), so the powers of 5, 7, 11 and 13 that divide 360360 are multiplied
 once per call into a base segment of each class (a wheel) that every
 segment copies.
 psi_buchstab applies Buchstab's identity one prime at a time to an array
-of distinct quotients of x, sorting only the terms no identity closes: the
-primes above the cube root of x are counted in one vectorised pass, a
-quotient below its prime is counted where it is made, and Psi(n, 3) has a
-closed form.
+of distinct quotients of x, sorting only the terms no identity closes: a
+prime p above the cube root of x adds x // p^2 and, for m = x // p >= p,
+m // q for each prime q from the cube root up to p, and m joins x at the
+level below the cube root; a quotient below its prime is counted where it
+is made, and Psi(n, 3) has a closed form.
 """
 
 import math
@@ -333,7 +334,6 @@ def _bit_length(n: np.ndarray) -> np.ndarray:
 
 
 _BUCHSTAB_MAX_X, _BUCHSTAB_MAX_Y = 10**12, 10**5  # the largest x and y psi_buchstab takes
-_PAIR_BLOCK = 2**16  # (i, j) pairs psi_buchstab forms at once in its pass over the large primes
 
 
 def _psi_3(n: np.ndarray, w: np.ndarray) -> int:
@@ -359,27 +359,23 @@ def psi_buchstab(x, table: PrimeTable, y) -> PsiResult:
     P[0] = 2, and b the first index with P[b]^3 > x. Three identities count
     most terms where they arise, so only the rest are sorted:
 
-    1. Each prime P[i] with i >= max(b, 1), in one vectorised pass; x stays
-       as a term at the index below. Put m = x // P[i]. For e >= 2,
-       x // P[i]^e < x / P[i]^2 < P[i], and every n < P[i] is
-       P[i-1]-friable, so that term is worth its own value. If m < P[i]
-       (P[i]^2 > x) it is worth m too. Otherwise every P[j] < P[i] is
-       <= m; let r be the largest index with P[r]^2 <= m. For r < j < i,
-       P[j]^2 > m, so only e = 1 survives and m // P[j] < P[j]:
-       Psi(m, P[i-1]) = Psi(m, P[r]) + sum over r < j < i of m // P[j].
-       So the pairs (i, j) need P[j] <= m, or they would run over primes
-       that add m // P[j] = 0: 3.1e9 of them at Psi(1e6, 1e6), y cap
-       raised. The m < P[i] rule is that bound, as it leaves only the i
-       with P[j] < P[i] <= m. P[r]^2 <= m <= x / P[b] < P[b]^2, so r < b:
-       Psi(m, P[r]) waits as a weight-1 term at level r, at or below x's.
-       An m < 4 has no r: Psi(m, 1) = 1 is added at once.
+    1. Each prime P[i] with i >= top = max(b, 1). Put m = x // P[i]. As
+       P[i]^3 > x, x // P[i]^e = 0 for e >= 3, and x // P[i]^2 = m // P[i]
+       < P[i]; every n < P[i] is P[i-1]-friable, so that term is worth its
+       own value. If m < P[i] (P[i]^2 > x) it is worth m too. Otherwise,
+       for top <= j < i, P[j]^2 >= P[top]^2 > x / P[top] >= m, so only
+       e = 1 survives and m // P[j] < P[j]:
+       Psi(m, P[i-1]) = Psi(m, P[top-1]) + sum over top <= j < i of m // P[j].
+       The sum is one vectorised line per i, and m joins x as a weight-1
+       term at level top - 1, x's level.
     2. The level loop, from x's level down to the prime 5. A term n at
        prime p spawns n // p^e for e >= 1; a quotient q < p is worth w * q
-       (every m <= q is p-friable) and is added where it is made. The rest,
-       with the terms waiting at the next level, merge in one sort.
+       (every m <= q is p-friable) and is added where it is made, so a term
+       n < p^2 adds n // p and makes no deeper quotient. The rest merge in
+       one sort.
     3. Psi(n, 3) = sum over j of bit_length(n // 3^j): the 3-friable m <= n
-       are 3^j 2^e. The terms left at level 1 (the prime 3) close so, and
-       those at level 0 as w * bit_length(n).
+       are 3^j 2^e. The terms left at level 1 (the prime 3) close so, or
+       at level 0 (top = 1) as w * bit_length(n).
 
     An x above _BUCHSTAB_MAX_X = 1e12 or a y above _BUCHSTAB_MAX_Y = 1e5
     raises ResourceError, and so does x >= 2^63 whatever the cap: quotients
@@ -401,44 +397,18 @@ def psi_buchstab(x, table: PrimeTable, y) -> PsiResult:
     if y > _BUCHSTAB_MAX_Y:
         raise ResourceError(f"y = {y} exceeds the Buchstab cap {_BUCHSTAB_MAX_Y}")
     P = table.primes[:k]
-    sq = P * P  # exact: P <= 1e6 even with the y cap raised, so P^3 < 2^63
-    top = min(max(int(np.searchsorted(sq * P, x, side="right")), 1), k)
-    count = 0
-    # identity 1 over the primes P[top:k]; waiting[L] lists the m at level L
-    waiting = {}
+    # exact: P <= 1e6 even with the y cap raised, so P^3 < 2^63
+    top = min(max(int(np.searchsorted(P * P * P, x, side="right")), 1), k)
+    # identity 1 over the primes P[top:k]: e = 2, then e = 1 where m < p
     p = P[top:k]
     m = x // p
-    q, qp = m // p, p
-    while q.size:  # e >= 2
-        count += int(q.sum())
-        q = q // qp
-        keep = q > 0
-        q, qp = q[keep], qp[keep]
+    count = int((m // p).sum())
     s = int(np.searchsorted(m < p, True))  # m < p from here on
     count += int(m[s:].sum())
-    m = m[:s]
-    if m.size:
-        r = np.searchsorted(sq, m, side="right") - 1
-        pairs = np.arange(top, top + s) - r - 1
-        ends = np.cumsum(pairs)
-        a = 0
-        while a < s:  # blocks of at most _PAIR_BLOCK pairs
-            base = int(ends[a - 1]) if a else 0
-            e = int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right"))
-            c = pairs[a:e]
-            first = ends[a:e] - c - base  # each i's first pair within the block
-            j = np.arange(int(ends[e - 1]) - base) + np.repeat(r[a:e] + 1 - first, c)
-            count += int((np.repeat(m[a:e], c) // P[j]).sum())
-            a = e
-        count += int(np.count_nonzero(r < 0))
-        # m falls as i rises, so each level's terms are ascending reversed
-        r, m = r[::-1], m[::-1]
-        cut = np.flatnonzero(np.diff(r)) + 1
-        for level, part in zip(np.split(r, cut), np.split(m, cut)):
-            if level[0] >= 0:
-                waiting[int(level[0])] = part
-    empty = np.zeros(0, dtype=np.int64)
-    n = np.append(waiting.pop(top - 1, empty), x)
+    for i, mi in enumerate(m[:s].tolist()):
+        count += int((mi // P[top:top + i]).sum())
+    # m falls as i rises, so the m reversed and then x are ascending
+    n = np.append(m[:s][::-1], x)
     w = np.ones(n.size, dtype=np.int64)
     for level in range(top - 1, 1, -1):
         p = int(P[level])
@@ -450,9 +420,6 @@ def psi_buchstab(x, table: PrimeTable, y) -> PsiResult:
             q, qw = q[low:] // p, qw[low:]
             ns.append(q)
             ws.append(qw)
-        part = waiting.pop(level - 1, empty)
-        ns.append(part)
-        ws.append(np.ones(part.size, dtype=np.int64))
         # each part is sorted, so _sorted merges runs; reduceat keeps the
         # int64 sums exact, where bincount would sum in float64
         n, w = np.concatenate(ns), np.concatenate(ws)
@@ -464,6 +431,4 @@ def psi_buchstab(x, table: PrimeTable, y) -> PsiResult:
         count += int((w * _bit_length(n)).sum())
     else:
         count += _psi_3(n, w)
-    part = waiting.pop(0, empty)
-    count += int(_bit_length(part).sum())
     return PsiResult(log_x=math.log(x), y=y, count=count, method="buchstab")

@@ -437,10 +437,11 @@ def test_buchstab_cube_edges(table):
 
 
 def test_buchstab_jumped_terms_at_the_bottom(table):
-    # a prime P[i] with P[i]^2 <= x < P[i]^3 leaves m = x // P[i] waiting at
-    # the level r of the largest P[r]^2 <= m: x < 8 puts every prime above 2
-    # in the pass, and x below a few hundred lands m at level 1 (the prime 3),
-    # level 0 (the prime 2) and, at m = 3, at no level
+    # a prime P[i] with P[i]^2 <= x < P[i]^3 puts m = x // P[i] beside x at
+    # the level below the first prime whose cube passes x, and the level loop
+    # adds m // p at each level with p^2 > m. x < 8 puts every prime above 2
+    # in identity 1, and x below a few hundred gives m whose largest P[r]^2
+    # <= m is at r = 1 (the prime 3), r = 0 (the prime 2) and, at m = 3, none
     P = table.primes[:30].tolist()
     levels = set()
     for x in range(1, 400):
@@ -461,10 +462,11 @@ def test_buchstab_above_sqrt_x(table, monkeypatch):
 
 
 def test_buchstab_sorts_only_what_it_cannot_close(table, monkeypatch):
-    # the primes above cbrt(x) make no level, quotients below p are counted
-    # where they are made, and the prime 3 closes without a sort: at most
-    # pi(464) = 90 sorts at Psi(1e8, 1e4) (a sort per prime made 1,228),
-    # and under 250,000 entries in the largest at Psi(1e10, 300) (396,013)
+    # the primes above cbrt(x) make no level (their quotients x // p join
+    # x's), quotients below p are counted where they are made, and the prime
+    # 3 closes without a sort: at most pi(464) = 90 sorts at Psi(1e8, 1e4) (a
+    # sort per prime made 1,228), and under 250,000 entries in the largest
+    # at Psi(1e10, 300) (396,013)
     sizes = []
     real = psi_exact._sorted
     monkeypatch.setattr(psi_exact, "_sorted", lambda n, w: sizes.append(n.size) or real(n, w))
@@ -473,6 +475,38 @@ def test_buchstab_sorts_only_what_it_cannot_close(table, monkeypatch):
     sizes.clear()
     assert psi_buchstab(10**10, table, 300.0).count == 69_217_415
     assert 0 < max(sizes) < 250_000
+
+
+def _split(count, x, table, y):
+    # Buchstab's identity at the largest prime p <= y, p- the prime below:
+    # Psi(x, p) = Psi(x, p-) + Psi(x // p, p)
+    k = table.pi(y)
+    p, below = int(table.primes[k - 1]), int(table.primes[k - 2])
+    return count(x, p), count(x, below), count(x // p, p)
+
+
+def test_enumerate_split_past_the_other_counters(table):
+    # past x = 1e12 no second counter reaches, so the split checks
+    # psi_enumerate by two enumerations over other sets: the criterion-07
+    # cell Psi(1e18, 41.4) and the three exact cells of the count_huge
+    # benchmark
+    def count(x, y):
+        return psi_enumerate(None, table, y, x_exact=x, max_count=10**9).count
+    for x, y, want in ((10**18, 41.4, (192_550_658, 113_173_522, 79_377_136)),
+                       (2**64 + 13, 13.0, (1_381_207, 378_555, 1_002_652)),
+                       (10**19, 11.0, (355_082, 80_988, 274_094)),
+                       (10**30, 7.0, (462_692, 48_207, 414_485))):
+        got = _split(count, x, table, y)
+        assert got == want and got[0] == got[1] + got[2], (x, y, got)
+
+
+def test_buchstab_split_over_many_large_primes(table):
+    # Psi(1e10, 9973) and Psi(1e11, 19997) take 903 and 1,636 primes above
+    # cbrt(x) through psi_buchstab's identity 1
+    def count(x, y):
+        return psi_buchstab(x, table, y).count
+    assert _split(count, 10**10, table, 1e4) == (1_445_842_183, 1_445_211_938, 630_245)
+    assert _split(count, 10**11, table, 2e4) == (12_887_037_963, 12_884_102_451, 2_935_512)
 
 
 def test_result_fields(table):
