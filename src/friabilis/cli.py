@@ -22,10 +22,8 @@ import sys
 from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 
-import numpy as np
-
 from . import __version__
-from .dickman import log_rho_array, rho, xi
+from .dickman import default_grid, rho, xi
 from .errors import DisagreementError, DomainError, ResourceError
 from .prime_tables import sieve_primes
 from .psi_exact import psi_buchstab, psi_enumerate, psi_sieve
@@ -139,11 +137,10 @@ def _run_primes(args, fh) -> None:
 
 
 def _write_rho_grid(fh) -> None:
-    # u,log_rho at the nodes i/128 up to u = 128, 17 significant digits
-    us = np.arange(128 * 128 + 1) / 128
+    # u,log_rho at default_grid's nodes i/128 up to u = 128, 17 significant digits
+    grid = default_grid()
     fh.write("u,log_rho\n")
-    fh.writelines(f"{u:.17g},{v:.17g}\n"
-                  for u, v in zip(us.tolist(), log_rho_array(us).tolist()))
+    fh.writelines(f"{i * grid.h:.17g},{v:.17g}\n" for i, v in enumerate(grid.log_rho.tolist()))
 
 
 def _run_rho(args, fh) -> None:

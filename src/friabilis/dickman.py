@@ -8,7 +8,9 @@ Marsaglia 1989; Bach & Peralta 1996).  log_rho_array evaluates it over
 arrays of u up to 500 as log rho, one log scale per interval, since rho
 underflows a double near u ~ 130; rho(u) is its scalar form up to 128.
 
-xi(u) is the nonzero root of e^xi = 1 + u*xi, int_exp is
+xi(u) is the nonzero root of e^xi = 1 + u*xi, found by Newton on its
+log form xi = log1p(u*xi), which is convex and cannot overflow, and by a
+series in u - 1 next to u = 1.  int_exp is
 I(s) = integral of (e^v - 1)/v over [0, s], summed as its everywhere
 convergent series, and xi_integral is integral of t xi'(t) over [1, u],
 which the substitution v = xi(t) turns into I(xi(u)).  No quadrature.
@@ -57,43 +59,41 @@ class XiValue:
 def xi(u) -> XiValue:
     """Nonzero root of e^xi = 1 + u*xi for u >= 1 (xi(1) = 0).
 
-    Safeguarded Newton.  Seeds: log u + log log u for u >= e, else 2(u-1);
-    the bracket (log u, min(2(u-1), log DBL_MAX)) always contains the root,
-    so a Newton step that leaves it falls back to bisection.  Past
+    Newton on the log form h(x) = x - log1p(u x), which has the same
+    positive root and cannot overflow.  h is convex with h(0) = 0 and
+    increases from x = 1 - 1/u on, so Newton started right of the root falls
+    toward it monotonically and needs no bracket.  The start log u + log log u
+    (u >= e) lies left of the root, so the first step lands right of it; the
+    start 2(u-1) (u < e) already lies right of it, as e^s > 1 + s + s^2/2.
+    Right of the root, a step that is not positive is rounding noise and
+    ends the loop, as does a step of at most 1e-15 x.  For u - 1 <= 1e-4,
+    where h is known only to about eps/(u-1), xi is the series
+    2d - 4/3 d^2 + 10/9 d^3 - 136/135 d^4 in d = u - 1, which inverts
+    (e^xi - 1 - xi)/xi = d; its next term is below 1e-20.  Past
     u ~ 2.53e305 the root lies beyond log DBL_MAX, and that is a RangeError.
     """
     u = float(u)
-    if u < 1.0:
+    if not u >= 1.0:
         raise DomainError(f"xi defined for u >= 1, got {u}")
     if u == 1.0:
         return XiValue(1.0, 0.0, 0.0)
     if u > _MAX_XI_U:
         raise RangeError(f"xi needs u <= {_MAX_XI_U:.4g} (e^xi overflows), got u={u}")
-    lo = math.log(u)  # g < 0 here
-    hi = min(2.0 * (u - 1.0), _MAX_S)  # g > 0 here
-    if u >= math.e:
-        x = math.log(u) + math.log(math.log(u))
-    else:
-        x = hi
-    x = min(max(x, lo * 1.0000001 + 1e-12), hi)
-    for _ in range(200):
-        g = math.expm1(x) - u * x
-        dg = math.expm1(x) + 1.0 - u
-        if g > 0:
-            hi = x
-        else:
-            lo = x
-        if dg > 0:
-            step = g / dg
-            nx = x - step
-        else:
-            nx = lo  # force the bisection branch below
-        if not (lo < nx < hi):
-            nx = 0.5 * (lo + hi)
-        if abs(nx - x) <= 1e-15 * abs(x):
-            x = nx
+    d = u - 1.0
+    if d <= 1e-4:
+        x = d * (2.0 + d * (-4.0 / 3.0 + d * (10.0 / 9.0 - d * 136.0 / 135.0)))
+        return XiValue(u, x, abs(math.expm1(x) - u * x))
+    right = u < math.e  # once x lies right of the root, every step is positive
+    x = 2.0 * d if right else math.log(u) + math.log(math.log(u))
+    for _ in range(100):
+        ux = 1.0 + u * x
+        step = (x - math.log1p(u * x)) * ux / (ux - u)
+        if right and step <= 0.0:
             break
-        x = nx
+        x = min(x - step, _MAX_S)  # so that u x stays a double
+        if abs(step) <= 1e-15 * x:
+            break
+        right = True
     else:
         raise NumericError(f"xi({u}) did not converge")
     return XiValue(u, x, abs(math.expm1(x) - u * x))
@@ -143,7 +143,7 @@ def xi_integral(u) -> float:
     Exactly I(xi(u)): with v = xi(t), t = (e^v - 1)/v and t xi'(t) dt = t dv.
     """
     u = float(u)
-    if u < 1.0:
+    if not u >= 1.0:
         raise DomainError(f"xi_integral needs u >= 1, got {u}")
     return int_exp(xi(u).xi)
 
@@ -164,7 +164,7 @@ def rho_asymptotic(u) -> float:
     error decays like 1/u (about 0.7/u measured against the series).
     """
     u = float(u)
-    if u < 2.0:
+    if not u >= 2.0:
         raise DomainError(f"rho_asymptotic intended for u >= 2, got {u}")
     xv = xi(u)
     return EULER_GAMMA - u * xv.xi + int_exp(xv.xi) + 0.5 * math.log(xv.slope / (2.0 * math.pi))

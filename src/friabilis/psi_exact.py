@@ -170,7 +170,8 @@ def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
     log b it does not; in between it is a guard-band hit. With x_exact
     given a hit is settled by a * b <= x_exact in Python ints; otherwise
     it counts iff log a + log b <= log_x. The hits are tallied in
-    boundary_ambiguous either way.
+    boundary_ambiguous either way. A log_x given beside x_exact must lie
+    within half the guard band of log x_exact, which then replaces it.
     """
     y = float(y)
     if y < 2.0:
@@ -179,8 +180,12 @@ def psi_enumerate(log_x, table: PrimeTable, y, *, x_exact=None,
         x_exact = int(x_exact)
         if x_exact < 1:
             raise DomainError(f"x must be >= 1, got {x_exact}")
-        if log_x is None:
-            log_x = math.log(x_exact)
+        exact_log = math.log(x_exact)
+        half_band = _GUARD * (1.0 + exact_log) / 2
+        if log_x is not None and not abs(float(log_x) - exact_log) <= half_band:
+            raise DomainError(f"log_x = {float(log_x)!r} disagrees with x_exact, "
+                              f"whose log is {exact_log!r}")
+        log_x = exact_log
     if log_x is None:
         raise DomainError("one of log_x or x_exact is required")
     log_x = float(log_x)

@@ -211,6 +211,23 @@ def test_guard_band_big_integer_path(table, monkeypatch):
     assert wide.count == a.count
 
 
+def test_log_x_beside_x_exact_must_agree(table):
+    # gates at log 2e6 with hits settled against 1e6 would count 108,490,
+    # neither Psi(1e6, 100) = 72,271 nor Psi(2e6, 100) = 108,491
+    small = sieve_primes(10**4)
+    with pytest.raises(DomainError, match="x_exact"):
+        psi_enumerate(math.log(2e6), small, 100, x_exact=10**6)
+    # within half the guard band of log x_exact the two name one x
+    lx = math.log(10**6)
+    band = psi_exact._GUARD * (1.0 + lx)
+    assert psi_enumerate(lx + 0.4 * band, small, 100, x_exact=10**6).count == 72271
+    with pytest.raises(DomainError, match="x_exact"):
+        psi_enumerate(lx + 0.6 * band, small, 100, x_exact=10**6)
+    r = psi_enumerate(64 * math.log(2), small, 13, x_exact=2**64)
+    assert r.count == psi_enumerate(None, small, 13, x_exact=2**64).count
+    assert r.log_x == math.log(2**64)
+
+
 def seven_smooth_count(x):
     # every 2^a 3^b 5^c 7^d <= x, by nested loops in Python ints
     cnt = 0

@@ -47,6 +47,20 @@ def bisect_xi(u):
     return 0.5 * (lo + hi)
 
 
+def mpmath_xi_rel_err(u):
+    # |xi(u) - root| / root against the 50-digit root of e^x = 1 + u x at the
+    # double u: (e^x - 1 - x)/x = u - 1 below u = 2, x = log(1 + u x) above
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(u)
+        if u < 2.0:
+            d = mu - 1
+            root = mpmath.findroot(lambda x: (mpmath.expm1(x) - x) / x - d, 2 * d)
+        else:
+            root = mpmath.findroot(lambda x: x - mpmath.log(1 + mu * x),
+                                   mpmath.log(mu) + mpmath.log(mpmath.log(mu)) + 1)
+        return float(abs(xi(u).xi - root) / root)
+
+
 def series_int_exp(s):
     # sum_{k>=1} s^k / (k * k!), summed with fsum; valid for moderate s
     terms, pw = [], 1.0
@@ -330,6 +344,25 @@ def test_xi_overflow_edge():
         xi(2.6e305)
     with pytest.raises(RangeError):
         xi(1e308)
+
+
+def test_xi_near_one_against_mpmath():
+    # the series band: Newton on h would lose digits like eps/(u-1) here
+    for d in (1e-15, 1e-12, 1e-9, 1e-6, 9e-5):
+        assert mpmath_xi_rel_err(1.0 + d) <= 1e-15, d
+
+
+def test_xi_newton_against_mpmath():
+    for d in (2e-4, 1e-3, 0.1):
+        assert mpmath_xi_rel_err(1.0 + d) <= 1e-11, d
+    for u in (math.e, 2.5e305):
+        assert mpmath_xi_rel_err(u) <= 1e-15, u
+
+
+def test_xi_nan_is_a_domain_error():
+    for f in (xi, xi_integral, rho_asymptotic):
+        with pytest.raises(DomainError):
+            f(math.nan)
 
 
 def test_xi_prime_matches_finite_differences():

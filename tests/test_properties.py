@@ -7,10 +7,11 @@ example database, so every run checks the same cells.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from friabilis import psi_exact
+from friabilis.errors import ResourceError
 from friabilis.prime_tables import sieve_primes
 from friabilis.psi_exact import psi_buchstab, psi_enumerate, psi_sieve
 
@@ -60,3 +61,21 @@ def test_buchstab_monotone_in_y(table, x, y, z):
     a = psi_buchstab(x, table, lo).count
     b = psi_buchstab(x, table, hi).count
     assert a <= b <= x, (x, lo, hi, a, b)
+
+
+_SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+
+
+@settings(max_examples=40, **_SETTINGS)
+@given(x=log_uniform(1e12, 1e30).map(int), i=st.integers(0, len(_SMALL_PRIMES) - 1))
+def test_buchstab_split_past_the_int64_counters(table, x, i):
+    # Psi(x, p) = Psi(x, p-) + Psi(x // p, p), p- the prime below p: the
+    # friable n <= x with no factor p, and p times those <= x // p
+    p, below = _SMALL_PRIMES[i], ([2] + _SMALL_PRIMES)[i]
+    try:
+        whole = psi_enumerate(None, table, p, x_exact=x).count
+        parts = (psi_enumerate(None, table, below, x_exact=x).count
+                 + psi_enumerate(None, table, p, x_exact=x // p).count)
+    except ResourceError:
+        assume(False)  # a cell the count cap refuses
+    assert whole == parts, (x, p, whole, parts)

@@ -113,6 +113,12 @@ def test_z_cases_match_z_bruijn():
         th.z_cases(30.0, 2.0)
 
 
+def test_regime_record_refuses_a_disagreeing_x_exact(table):
+    # would record Psi(1e8, 7.69) = 3,427 as the count beside x = 1e10
+    with pytest.raises(DomainError, match="x_exact"):
+        th.regime_record(math.log(1e8), 0.7, table, x_exact=10**10)
+
+
 def test_regime_record_c_lt_1(table):
     lx = math.log(1e12)
     r = th.regime_record(lx, 0.7, table, x_exact=10**12)
