@@ -49,11 +49,13 @@ class XiValue:
         """xi'(u), from differentiating e^xi = 1 + u xi:  xi' = xi / (1 + u xi - u).
 
         The denominator is e^xi - u > 0 for all u > 1; at u = 1 the limit is
-        2, since xi ~ 2(u-1) there.
+        2, since xi ~ 2(u-1) there.  It is taken as u xi - (u - 1): u - 1 is
+        exact near u = 1, where rounding 1 + u xi first would drop the
+        (2/3)(u - 1)^2 that the denominator is made of.
         """
         if self.u == 1.0:
             return 2.0
-        return self.xi / (1.0 + self.u * self.xi - self.u)
+        return self.xi / (self.u * self.xi - (self.u - 1.0))
 
 
 def xi(u) -> XiValue:

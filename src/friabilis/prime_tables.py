@@ -8,7 +8,8 @@ prime-power count Pi(t) = sum pi(t^{1/k})/k, and the two remainders
 r(t) = psi(t) - t and q(t) = Pi(t) - li(t).  exact_sum gives math.fsum's
 correctly rounded value of a float array without a Python list, by
 error-free extraction in a few numpy passes; every prime sum of the
-package goes through it.
+package goes through it.  gauss_prefix compresses a prefix of the
+log-primes by Gauss rules, for the alpha solver's first Newton run.
 
 Code that does exact integer arithmetic on primes takes them as Python
 ints, through ``table.primes[:k].tolist()``: int64 products wrap silently.
@@ -16,6 +17,7 @@ ints, through ``table.primes[:k].tolist()``: int64 products wrap silently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +45,18 @@ _BLOCK = 1 << 15
 # prime sums (microseconds, list against extraction): 21/33 at 512 terms,
 # 31/33 at 768, 36/33 at 896, 41/34 at 1024, 82/37 at 2048
 _FSUM_BELOW = 800
+
+# PrimeTable.gauss_prefix keeps the first _HEAD log-primes as they are and
+# stands for each later group of _GROUP by a 4-node Gauss rule.  The first
+# group spans 0.25 in log p; over the 1e7 table the weighted sums of
+# x/(e^(a x) - 1) and of its slope match the plain ones to 2.1e-16 relative
+# for 1e-8 <= a <= 1.3.  Below _HEAD + _GROUP = 10,240 primes a full pass
+# is cheap and the solver keeps to the full log-primes.  The rules are built
+# _CHUNK groups at a time, so the work arrays stay near 128 KiB.
+_HEAD = 1 << 13
+_GROUP = 1 << 11
+_NODES = 4
+_CHUNK = 8
 
 
 def exact_sum(arr) -> float:
@@ -126,6 +140,62 @@ class PrimeTable:
         while (r := _iroot(n, len(counts) + 1)) >= 2:
             counts.append(self.pi(r))
         return counts
+
+    def gauss_prefix(self, k: int):
+        """(points, weights) that stand for log_primes[:k] in weighted sums, or None.
+
+        The points are the first _HEAD log-primes, the Gauss nodes of every
+        full group of _GROUP log-primes above them, and the partial last
+        group; the weights are 1, the Gauss weights, and 1.  For the terms
+        x / (e^(a x) - 1) of the alpha equation, 0 < a <= 1, the weighted sum
+        equals the plain one to rounding.  None when k < _HEAD + _GROUP, where
+        there is nothing to compress.
+        """
+        m = (k - _HEAD) // _GROUP
+        if m < 1:
+            return None
+        nodes, weights = self._gauss_rules
+        end = _HEAD + m * _GROUP
+        lp = self.log_primes
+        return (np.concatenate((lp[:_HEAD], nodes[:m].ravel(), lp[end:k])),
+                np.concatenate((np.ones(_HEAD), weights[:m].ravel(), np.ones(k - end))))
+
+    @functools.cached_property
+    def _gauss_rules(self):
+        """The _NODES-node Gauss rule of each full group above the first _HEAD log-primes.
+
+        A group of consecutive log-primes is a smooth measure, so the Gauss
+        rule of its counting measure integrates smooth functions to rounding
+        (Golub & Welsch 1969): Stieltjes' recurrence on the group mapped to
+        [-1, 1] gives the Jacobi matrix, its eigenvalues the nodes and the
+        squared first components of its eigenvectors the weights.  Built on
+        the first call, _CHUNK groups at a time, and kept on the table.
+        """
+        lp = self.log_primes
+        m = (len(lp) - _HEAD) // _GROUP
+        nodes, weights = np.empty((m, _NODES)), np.empty((m, _NODES))
+        for g in range(0, m, _CHUNK):
+            n = min(_CHUNK, m - g)
+            x = lp[_HEAD + g * _GROUP:_HEAD + (g + n) * _GROUP].reshape(n, _GROUP)
+            mid = 0.5 * (x[:, -1:] + x[:, :1])
+            half = 0.5 * (x[:, -1:] - x[:, :1])
+            s = (x - mid) / half
+            jac = np.zeros((n, _NODES, _NODES))
+            p_prev, p, norm_prev = 0.0, np.ones_like(s), 1.0
+            for j in range(_NODES):
+                p2 = p * p
+                norm = p2.sum(axis=1)
+                jac[:, j, j] = (s * p2).sum(axis=1) / norm
+                b = norm / norm_prev
+                if j:
+                    jac[:, j, j - 1] = jac[:, j - 1, j] = np.sqrt(b)
+                if j + 1 < _NODES:
+                    p_prev, p = p, (s - jac[:, j, j, None]) * p - b[:, None] * p_prev
+                norm_prev = norm
+            lam, vec = np.linalg.eigh(jac)
+            nodes[g:g + n] = mid + half * lam
+            weights[g:g + n] = _GROUP * vec[:, 0, :] ** 2
+        return nodes, weights
 
 
 def _sieve(limit: int) -> np.ndarray:

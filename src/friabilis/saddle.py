@@ -1,9 +1,12 @@
 """Saddle-point machinery for Psi(x, y).
 
-The saddle alpha = alpha(x, y) solves sum_{p <= y} log p / (p^alpha - 1) = log x.
-Around it live the partial zeta, the sums S and T, the weight w_sigma, the
-function f(sigma) = sigma log x + I((1 - sigma) log y) with its stationary
-point beta = 1 - xi(u)/log y, and the saddle approximation to Psi itself.
+The saddle alpha = alpha(x, y) solves sum_{p <= y} log p / (p^alpha - 1) = log x,
+by Newton over the log-primes; past 10,240 primes Newton first runs on their
+Gauss-compressed form, and the full log-primes take one pass to confirm
+alpha and at most one more for its residual.  Around it live the partial
+zeta, the sums S and T, the weight w_sigma, the function
+f(sigma) = sigma log x + I((1 - sigma) log y) with its stationary point
+beta = 1 - xi(u)/log y, and the saddle approximation to Psi itself.
 """
 
 import math
@@ -33,6 +36,10 @@ class SaddleState:
 # Newton passes allowed per solve; from the closed form or from beta a solve
 # needs at most about 10
 _MAX_PASSES = 100
+# the run on the compressed log-primes only starts the full one, so it stops
+# once a step is this small: the next, about the square of it, would be lost
+# in rounding, and the full run's first pass takes it
+_START_STEP = 1e-9
 
 # the last solve_alpha result as (weakref to its table, log_x, y, alpha),
 # swapped as one tuple; only psi_saddle reads it, so a caller that has just
@@ -56,11 +63,22 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
     known a step at most doubles alpha, and while no lo is known it at most
     halves it.  The solve stops when the step is at most 1e-15 alpha, or at
     rounding noise: when Newton leaves a bracket closed on both sides, or
-    when a step fails to shrink quadratically.  For u >= 1/2 it takes 4 to
-    8 passes, 4 where beta starts it at y >= 1e5 and 2 <= u <= 100 (up to
-    10 for u far below 1), then one more for the correctly rounded residual,
-    whose terms go into the Newton buffer.  Every call solves; the result
-    is also kept as the one-entry memo that psi_saddle reads.
+    when a step fails to shrink quadratically.
+    For u >= 1 on at least 10,240 log-primes (y >= 107,603), Newton first
+    runs on table.gauss_prefix, the log-primes with each group of 2,048
+    above the first 8,192 replaced by its 4-node Gauss rule (10,499 points
+    for the 664,579 primes up to 1e7), where g is the same to rounding; that
+    run stops at a step of 1e-9, whose square is below rounding.  The full
+    log-primes then take the same Newton from its result: one pass
+    confirms alpha in most solves, two in the rest.  On fewer log-primes,
+    and below u = 1, where the closed form starts far from alpha and the two
+    runs would together take more passes under rounding noise than one,
+    Newton runs on the full log-primes alone: 4 to 8 passes for u >= 1/2, 4
+    where beta starts it at 2 <= u <= 100, up to 10 for u far below 1.  The
+    residual is correctly rounded from the terms of the returned alpha: when
+    the last step left alpha unchanged they are already in the Newton
+    buffer, otherwise one more pass recomputes them.  Every call solves;
+    the result is also kept as the one-entry memo that psi_saddle reads.
     A root below alpha = 1e-18 (log_x = 1e300 at y = 100) is out of the
     solver's range and raises RangeError; the floor is checked on the
     result too, since the start can converge straight to such a root.  A u
@@ -83,20 +101,48 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
     except RangeError:
         raise RangeError(f"alpha(x, y) lies below 1e-18 at log_x={log_x}, y={y}") from None
 
-    t = np.empty_like(logp)
-    lo, hi = 0.0, math.inf
     a = math.log1p(y / log_x) / log_y
     if beta > a:  # NaN or non-positive beta keeps the closed form
         a = beta
+    t = np.empty_like(logp)
+    with np.errstate(over="ignore"):
+        if u >= 1.0 and (prefix := table.gauss_prefix(k)) is not None:
+            points, weights = prefix
+            a, _ = _newton(points, weights, log_x, y, a, np.empty_like(points), _START_STEP)
+        a, filled = _newton(logp, None, log_x, y, a, t, 1e-15)
+        if a < 1e-18:
+            raise RangeError(f"alpha(x, y) lies below 1e-18 at log_x={log_x}, y={y}")
+        if a != filled:
+            _terms(logp, a, t)
+    residual = exact_sum(t) - log_x
+    _last_solve = (weakref.ref(table), log_x, y, a)
+    c = log_y / math.log(log_x) if log_x > 1.0 else math.nan
+    return SaddleState(log_x=log_x, y=y, u=u, c=c, alpha=a, beta=beta,
+                       solver_residual=residual)
+
+
+def _terms(logp, a, t):
+    """Fill t with log p / (p^a - 1) over logp."""
+    np.multiply(logp, a, out=t)
+    np.expm1(t, out=t)
+    np.divide(logp, t, out=t)
+
+
+def _newton(logp, weights, log_x, y, a, t, tol):
+    """Newton on g(a) = sum w log p / (p^a - 1) - log_x from a, over logp.
+
+    weights None means all 1.  Returns alpha and the a whose terms t holds
+    on return: when they are equal, t holds the terms of alpha.
+    """
+    lo, hi = 0.0, math.inf
     prev = math.inf
     for _ in range(_MAX_PASSES):
-        with np.errstate(over="ignore"):
-            np.multiply(logp, a, out=t)
-            np.expm1(t, out=t)
-            np.divide(logp, t, out=t)  # log p / (p^a - 1)
-            val = float(t.sum()) - log_x
-            # g'(a) = -sum (log p)^2 p^a / (p^a - 1)^2 = -sum t (log p + t)
-            slope = -(float(np.dot(t, logp)) + float(np.dot(t, t)))
+        _terms(logp, a, t)
+        filled = a
+        wt = t if weights is None else weights * t
+        val = float(wt.sum()) - log_x
+        # g'(a) = -sum w (log p)^2 p^a / (p^a - 1)^2 = -sum w t (log p + t)
+        slope = -(float(np.dot(wt, logp)) + float(np.dot(wt, t)))
         if val > 0.0:
             lo = a
         else:
@@ -114,23 +160,12 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
         a = nxt
         if a > 1e6:
             raise NumericError(f"alpha ran away upward for log_x={log_x}, y={y}")
-        if step <= 1e-15 or step > 100.0 * prev * prev:
+        if step <= tol or step > 100.0 * prev * prev:
             break
         prev = step
     else:
         raise NumericError(f"alpha Newton did not converge for log_x={log_x}, y={y}")
-    if a < 1e-18:
-        raise RangeError(f"alpha(x, y) lies below 1e-18 at log_x={log_x}, y={y}")
-
-    with np.errstate(over="ignore"):
-        np.multiply(logp, a, out=t)
-        np.expm1(t, out=t)
-        np.divide(logp, t, out=t)
-    residual = exact_sum(t) - log_x
-    _last_solve = (weakref.ref(table), log_x, y, a)
-    c = log_y / math.log(log_x) if log_x > 1.0 else math.nan
-    return SaddleState(log_x=log_x, y=y, u=u, c=c, alpha=a, beta=beta,
-                       solver_residual=residual)
+    return a, filled
 
 
 def alpha_approx(log_x: float, y: float) -> float:

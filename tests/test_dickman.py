@@ -47,17 +47,22 @@ def bisect_xi(u):
     return 0.5 * (lo + hi)
 
 
+@mpmath.workdps(50)
+def mpmath_xi_root(u):
+    # the 50-digit root of e^x = 1 + u x at the double u > 1:
+    # (e^x - 1 - x)/x = u - 1 below u = 2, x = log(1 + u x) above
+    mu = mpmath.mpf(u)
+    if u < 2.0:
+        d = mu - 1
+        return mpmath.findroot(lambda x: (mpmath.expm1(x) - x) / x - d, 2 * d)
+    return mpmath.findroot(lambda x: x - mpmath.log(1 + mu * x),
+                           mpmath.log(mu) + mpmath.log(mpmath.log(mu)) + 1)
+
+
 def mpmath_xi_rel_err(u):
-    # |xi(u) - root| / root against the 50-digit root of e^x = 1 + u x at the
-    # double u: (e^x - 1 - x)/x = u - 1 below u = 2, x = log(1 + u x) above
+    # |xi(u) - root| / root against the 50-digit root
     with mpmath.workdps(50):
-        mu = mpmath.mpf(u)
-        if u < 2.0:
-            d = mu - 1
-            root = mpmath.findroot(lambda x: (mpmath.expm1(x) - x) / x - d, 2 * d)
-        else:
-            root = mpmath.findroot(lambda x: x - mpmath.log(1 + mu * x),
-                                   mpmath.log(mu) + mpmath.log(mpmath.log(mu)) + 1)
+        root = mpmath_xi_root(u)
         return float(abs(xi(u).xi - root) / root)
 
 
@@ -374,6 +379,27 @@ def test_xi_prime_matches_finite_differences():
     # u*xi'(u) decreases toward 1 from above
     vals = [u * xi_prime(u) for u in (2.0, 5.0, 20.0, 100.0, 1000.0)]
     assert all(a > b > 1.0 for a, b in zip(vals, vals[1:]))
+
+
+def test_xi_prime_against_mpmath():
+    # xi' = x / (u x - (u - 1)) at the 50-digit root x; u - 1 is exact, so
+    # next to u = 1 the slope keeps full precision, where the denominator
+    # rounded as 1 + u x - u lost 7e-13 relative at u - 1 = 1e-12 and 7e-10
+    # at 1e-9.  Further out the error is no worse than that form gives.
+    def rel_err(got, u):
+        with mpmath.workdps(50):
+            x = mpmath_xi_root(u)
+            mu = mpmath.mpf(u)
+            want = x / (mu * x - (mu - 1))
+            return float(abs(got - want) / want)
+
+    for d in (1e-12, 1e-9, 1e-6, 1e-4):
+        assert rel_err(xi_prime(1.0 + d), 1.0 + d) <= 1e-15, d
+    for d in (1e-3, 0.1, 1.0, 10.0, 1e3):
+        u = 1.0 + d
+        x = xi(u).xi
+        rounded_first = x / (1.0 + u * x - u)
+        assert rel_err(xi_prime(u), u) <= rel_err(rounded_first, u), d
 
 
 def test_xi_expansion_values():

@@ -2,16 +2,20 @@
 
 The alpha oracles are a bisection-only solver over an explicit prime list
 and a Newton refinement whose value is a math.fsum over the explicit prime
-terms, both independent of the module's Newton path.
+terms, both independent of the module's Newton path, and the plain
+full-table Newton of alpha_newton.py, which the compressed start must not
+move by more than rounding.
 """
 
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from alpha_newton import alpha_newton
 
-from friabilis import saddle
+from friabilis import prime_tables, saddle
 from friabilis.dickman import int_exp, xi
 from friabilis.errors import DomainError, RangeError
 from friabilis.prime_tables import _BLOCK, exact_sum, sieve_primes
@@ -270,6 +274,71 @@ def test_alpha_stops_at_rounding_noise(table, monkeypatch):
         got = solve_alpha(u * math.log(y), table, y).alpha
         assert len(calls) <= 10, (y, u, len(calls))
         assert got == pytest.approx(want, rel=1e-11)
+
+
+def _ulps(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+def test_alpha_against_plain_newton(table):
+    # the compressed start moves alpha by at most 2 ulps from plain Newton
+    # over every log-prime and leaves the residual within rounding; where
+    # nothing is compressed (pi(y) below the head and one group, or u < 1)
+    # both are the same bits
+    cells = [(y, u * math.log(y)) for y in (3e4, 1e5, 3.16e5, 1e6)
+             for u in (0.5, 1.0, 2.0, 5.0, 30.0, 1000.0)]
+    cells += [(y, y ** (1.0 / c)) for y in (3e4, 1e5, 3.16e5, 1e6) for c in (1.2, 1.5, 1.8)]
+    for y, log_x in cells:
+        k = table.pi(y)
+        want, want_res, _ = alpha_newton(log_x, table.log_primes[:k], y)
+        st = solve_alpha(log_x, table, y)
+        assert _ulps(st.alpha, want) <= 2.0, (y, log_x)
+        assert abs(st.solver_residual) <= max(2.0 * abs(want_res), 1e-15 * log_x), (y, log_x)
+        if k < prime_tables._HEAD + prime_tables._GROUP or st.u < 1.0:
+            assert (st.alpha.hex(), st.solver_residual) == (want.hex(), want_res), (y, log_x)
+
+
+def test_alpha_full_passes_and_group_cache(monkeypatch):
+    # the compressed run leaves the full log-primes one pass to confirm
+    # alpha and at most one more for the residual (plain Newton makes 5);
+    # the Gauss rules are built on the first solve that needs them, not by
+    # the sieve, kept on the table, and reused by every later solve
+    lengths, eighs = [], []
+    expm1, eigh = np.expm1, np.linalg.eigh
+
+    def counting_expm1(x, *args, **kwargs):
+        lengths.append(len(x))
+        return expm1(x, *args, **kwargs)
+
+    def counting_eigh(a, *args, **kwargs):
+        eighs.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    fresh = sieve_primes(10**6)
+    assert eighs == []
+    y = 1e6
+    k = fresh.pi(y)
+    cold = {}
+    for u in (2.0, 10.0, 100.0, 1000.0):
+        monkeypatch.setattr(np, "expm1", counting_expm1)
+        lengths.clear()
+        st = solve_alpha(u * math.log(y), fresh, y)
+        monkeypatch.setattr(np, "expm1", expm1)
+        assert lengths.count(k) <= 2, (u, lengths)
+        assert alpha_newton(u * math.log(y), fresh.log_primes[:k], y)[2] == 5, u
+        cold[u] = (st.alpha.hex(), st.solver_residual)
+    groups = (k - prime_tables._HEAD) // prime_tables._GROUP
+    assert sum(eighs) == groups > 0
+    for u, bits in cold.items():
+        st = solve_alpha(u * math.log(y), fresh, y)
+        assert (st.alpha.hex(), st.solver_residual) == bits, u
+    assert sum(eighs) == groups
+    # the rules live on the table alone and go with it
+    ref = weakref.ref(fresh)
+    del fresh
+    gc.collect()
+    assert ref() is None
 
 
 # --- alpha_approx ------------------------------------------------------------------
