@@ -50,9 +50,10 @@ _FSUM_BELOW = 800
 # stands for each later group of _GROUP by a 4-node Gauss rule.  The first
 # group spans 0.25 in log p; over the 1e7 table the weighted sums of
 # x/(e^(a x) - 1) and of its slope match the plain ones to 2.1e-16 relative
-# for 1e-8 <= a <= 1.3.  Below _HEAD + _GROUP = 10,240 primes a full pass
-# is cheap and the solver keeps to the full log-primes.  The rules are built
-# _CHUNK groups at a time, so the work arrays stay near 128 KiB.
+# for 1e-8 <= a <= 3, past the largest alpha (1.88, at log x = log 2).
+# Below _HEAD + _GROUP = 10,240 primes a full pass is cheap and the solver
+# keeps to the full log-primes.  The rules are built _CHUNK groups at a
+# time, so the work arrays stay near 128 KiB.
 _HEAD = 1 << 13
 _GROUP = 1 << 11
 _NODES = 4
@@ -147,7 +148,7 @@ class PrimeTable:
         The points are the first _HEAD log-primes, the Gauss nodes of every
         full group of _GROUP log-primes above them, and the partial last
         group; the weights are 1, the Gauss weights, and 1.  For the terms
-        x / (e^(a x) - 1) of the alpha equation, 0 < a <= 1, the weighted sum
+        x / (e^(a x) - 1) of the alpha equation, 0 < a <= 3, the weighted sum
         equals the plain one to rounding.  None when k < _HEAD + _GROUP, where
         there is nothing to compress.
         """

@@ -1,9 +1,10 @@
 """Saddle-point machinery for Psi(x, y).
 
 The saddle alpha = alpha(x, y) solves sum_{p <= y} log p / (p^alpha - 1) = log x,
-by Newton over the log-primes; past 10,240 primes Newton first runs on their
-Gauss-compressed form, and the full log-primes take one pass to confirm
-alpha and at most one more for its residual.  Around it live the partial
+by Newton over the log-primes; where PrimeTable.gauss_prefix compresses
+them, Newton first runs on their Gauss-compressed form, and the full
+log-primes take one pass to confirm alpha and at most one more for its
+residual.  Around it live the partial
 zeta, the sums S and T, the weight w_sigma, the function
 f(sigma) = sigma log x + I((1 - sigma) log y) with its stationary point
 beta = 1 - xi(u)/log y, and the saddle approximation to Psi itself.
@@ -64,20 +65,17 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
     halves it.  The solve stops when the step is at most 1e-15 alpha, or at
     rounding noise: when Newton leaves a bracket closed on both sides, or
     when a step fails to shrink quadratically.
-    For u >= 1 on at least 10,240 log-primes (y >= 107,603), Newton first
-    runs on table.gauss_prefix, the log-primes with each group of 2,048
-    above the first 8,192 replaced by its 4-node Gauss rule (10,499 points
-    for the 664,579 primes up to 1e7), where g is the same to rounding; that
-    run stops at a step of 1e-9, whose square is below rounding.  The full
-    log-primes then take the same Newton from its result: one pass
-    confirms alpha in most solves, two in the rest.  On fewer log-primes,
-    and below u = 1, where the closed form starts far from alpha and the two
-    runs would together take more passes under rounding noise than one,
-    Newton runs on the full log-primes alone: 4 to 8 passes for u >= 1/2, 4
-    where beta starts it at 2 <= u <= 100, up to 10 for u far below 1.  The
-    residual is correctly rounded from the terms of the returned alpha: when
-    the last step left alpha unchanged they are already in the Newton
-    buffer, otherwise one more pass recomputes them.  Every call solves;
+    Where table.gauss_prefix(pi(y)) returns points, Newton first runs on
+    them, the log-primes with groups replaced by their Gauss rules, where g
+    is the same to rounding; that run stops at a step of 1e-9, whose square
+    is below rounding.  The full log-primes then take the same Newton from
+    its result: one pass confirms alpha in most solves, two in the rest.
+    On a prefix too short to compress Newton runs on the full log-primes
+    alone: 4 to 8 passes for u >= 1/2, 4 where beta starts it at
+    2 <= u <= 100, up to 10 for u far below 1.  The residual is correctly
+    rounded from the terms of the returned alpha: when the last step left
+    alpha unchanged they are already in the Newton buffer, otherwise one
+    more pass recomputes them.  Every call solves;
     the result is also kept as the one-entry memo that psi_saddle reads.
     A root below alpha = 1e-18 (log_x = 1e300 at y = 100) is out of the
     solver's range and raises RangeError; the floor is checked on the
@@ -106,7 +104,7 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
         a = beta
     t = np.empty_like(logp)
     with np.errstate(over="ignore"):
-        if u >= 1.0 and (prefix := table.gauss_prefix(k)) is not None:
+        if (prefix := table.gauss_prefix(k)) is not None:
             points, weights = prefix
             a, _ = _newton(points, weights, log_x, y, a, np.empty_like(points), _START_STEP)
         a, filled = _newton(logp, None, log_x, y, a, t, 1e-15)

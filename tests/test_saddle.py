@@ -283,8 +283,8 @@ def _ulps(a, b):
 def test_alpha_against_plain_newton(table):
     # the compressed start moves alpha by at most 2 ulps from plain Newton
     # over every log-prime and leaves the residual within rounding; where
-    # nothing is compressed (pi(y) below the head and one group, or u < 1)
-    # both are the same bits
+    # nothing is compressed (pi(y) below the head and one group) both are
+    # the same bits
     cells = [(y, u * math.log(y)) for y in (3e4, 1e5, 3.16e5, 1e6)
              for u in (0.5, 1.0, 2.0, 5.0, 30.0, 1000.0)]
     cells += [(y, y ** (1.0 / c)) for y in (3e4, 1e5, 3.16e5, 1e6) for c in (1.2, 1.5, 1.8)]
@@ -294,13 +294,14 @@ def test_alpha_against_plain_newton(table):
         st = solve_alpha(log_x, table, y)
         assert _ulps(st.alpha, want) <= 2.0, (y, log_x)
         assert abs(st.solver_residual) <= max(2.0 * abs(want_res), 1e-15 * log_x), (y, log_x)
-        if k < prime_tables._HEAD + prime_tables._GROUP or st.u < 1.0:
+        if k < prime_tables._HEAD + prime_tables._GROUP:
             assert (st.alpha.hex(), st.solver_residual) == (want.hex(), want_res), (y, log_x)
 
 
 def test_alpha_full_passes_and_group_cache(monkeypatch):
     # the compressed run leaves the full log-primes one pass to confirm
-    # alpha and at most one more for the residual (plain Newton makes 5);
+    # alpha and at most one more for the residual (plain Newton makes 5
+    # from beta, 9 from the closed form below u = 1);
     # the Gauss rules are built on the first solve that needs them, not by
     # the sieve, kept on the table, and reused by every later solve
     lengths, eighs = [], []
@@ -320,13 +321,15 @@ def test_alpha_full_passes_and_group_cache(monkeypatch):
     y = 1e6
     k = fresh.pi(y)
     cold = {}
-    for u in (2.0, 10.0, 100.0, 1000.0):
+    # u -> passes of plain Newton; below u = 1 it starts from the closed form
+    plain = {0.5: 9, 0.7: 9, 2.0: 5, 10.0: 5, 100.0: 5, 1000.0: 5}
+    for u, passes in plain.items():
         monkeypatch.setattr(np, "expm1", counting_expm1)
         lengths.clear()
         st = solve_alpha(u * math.log(y), fresh, y)
         monkeypatch.setattr(np, "expm1", expm1)
         assert lengths.count(k) <= 2, (u, lengths)
-        assert alpha_newton(u * math.log(y), fresh.log_primes[:k], y)[2] == 5, u
+        assert alpha_newton(u * math.log(y), fresh.log_primes[:k], y)[2] == passes, u
         cold[u] = (st.alpha.hex(), st.solver_residual)
     groups = (k - prime_tables._HEAD) // prime_tables._GROUP
     assert sum(eighs) == groups > 0
