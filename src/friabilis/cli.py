@@ -8,10 +8,10 @@ configuration.  Identical invocations produce
 byte-identical output: no randomness, no timestamps, repr-stable floats.
 
 Exit codes: 0 success, 2 usage (including a float option given as nan
-or inf), 3 domain/range error (including an --output or --export-grid
-path that cannot be opened for writing), 4 resource cap, 5 exact methods
-disagree.  --output is written to a temporary file in the same directory
-and renamed over PATH only on success.
+or inf), 3 domain/range error (including an --output path that cannot be
+opened for writing), 4 resource cap, 5 exact methods disagree.  --output
+is written to a temporary file in the same directory and renamed over
+PATH only on success.
 """
 
 import argparse
@@ -144,12 +144,10 @@ def _write_rho_grid(fh) -> None:
 
 
 def _run_rho(args, fh) -> None:
-    if args.export_grid is not None:
-        if args.export_grid == "-":
-            _write_rho_grid(fh)
-        else:
-            with _open_for_write(args.export_grid, args.export_grid) as out:
-                _write_rho_grid(out)
+    if args.export_grid:
+        if args.u is not None:
+            raise DomainError("rho takes --u or --export-grid, not both")
+        _write_rho_grid(fh)
         return
     if args.u is None:
         raise DomainError("rho needs --u or --export-grid")
@@ -290,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rho", help="Dickman rho at u")
     sp.add_argument("--u", type=_finite, default=None)
     sp.add_argument("--log", action="store_true", help="print log rho instead")
-    sp.add_argument("--export-grid", default=None, metavar="PATH",
-                    help="write the rho grid as CSV (- for stdout)")
+    sp.add_argument("--export-grid", action="store_true",
+                    help="write the rho grid as CSV instead of rho at --u")
     common(sp)
 
     sp = sub.add_parser("xi", help="xi(u): the nonzero root of e^xi = 1 + u xi")

@@ -102,9 +102,9 @@ def xi(u) -> XiValue:
 
 
 def xi_expansion(u) -> float:
-    """Leading expansion log u + log_2 u + log_2 u / log u; needs u >= 10."""
-    if u < 10:
-        raise DomainError(f"xi_expansion needs u >= 10, got {u}")
+    """Leading expansion log u + log_2 u + log_2 u / log u; needs finite u >= 10."""
+    if not 10 <= u < math.inf:
+        raise DomainError(f"xi_expansion needs finite u >= 10, got {u}")
     lu = math.log(u)
     llu = math.log(lu)
     return lu + llu + llu / lu
@@ -271,7 +271,7 @@ def rho(u) -> float:
     return float(log_rho_array(u))
 
 
-@dataclass
+@dataclass(eq=False)  # == on the array fields would raise, so an instance equals only itself
 class RhoGrid:
     u_max: float
     h: float

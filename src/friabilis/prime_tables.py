@@ -29,8 +29,8 @@ from .errors import DomainError, RangeError, ResourceError, short_int
 # li(2) to 30 digits, the correctly rounded double that li(2) returns
 LI2 = 1.04516378011749278484458888919
 
-# Segment length of the sieve; memory stays O(this) besides the output.
-# The first segment must hold every sieving prime, i.e. sqrt(_MAX_LIMIT).
+# Length of each segment in _sieve's loop; memory stays O(this) besides the
+# output.  Any length works, as the sieving primes come from a sieve of their own.
 _SEGMENT = 1 << 20
 
 # the one cap on prime tables; the CLI builds every table through sieve_primes
@@ -110,7 +110,7 @@ def _exact_parts(arr) -> list:
     return parts
 
 
-@dataclass
+@dataclass(eq=False)  # == on the array fields would raise, so an instance equals only itself
 class PrimeTable:
     """Immutable-by-convention table of all primes <= limit."""
 
@@ -202,17 +202,14 @@ class PrimeTable:
 def _sieve(limit: int) -> np.ndarray:
     """Segmented sieve of Eratosthenes over numpy bool segments.
 
-    The first segment is sieved by its own primes and supplies every
-    sieving prime up to sqrt(limit); later segments cross those out.
+    The sieving primes up to sqrt(limit) come from this sieve one level
+    down (there are none below 4).  One loop runs over segments of
+    _SEGMENT from 0, crossing out each sieving prime's multiples from p*p
+    on; 0 and 1, which nothing crosses out, are dropped from the result.
     """
-    first = np.ones(min(limit + 1, _SEGMENT), dtype=bool)
-    first[:2] = False
-    for p in range(2, math.isqrt(len(first) - 1) + 1):
-        if first[p]:
-            first[p * p :: p] = False
-    chunks = [np.flatnonzero(first)]
-    base = chunks[0][: np.searchsorted(chunks[0], math.isqrt(limit), side="right")].tolist()
-    for lo in range(_SEGMENT, limit + 1, _SEGMENT):
+    base = _sieve(math.isqrt(limit)).tolist() if limit >= 4 else []
+    chunks = []
+    for lo in range(0, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
         flags = np.ones(hi - lo, dtype=bool)
         for p in base:
@@ -221,7 +218,7 @@ def _sieve(limit: int) -> np.ndarray:
             start = max(p * p, -(-lo // p) * p)
             flags[start - lo :: p] = False
         chunks.append(np.flatnonzero(flags) + lo)
-    return np.concatenate(chunks).astype(np.int64, copy=False)
+    return np.concatenate(chunks)[2:].astype(np.int64, copy=False)
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -258,8 +255,8 @@ def li(t) -> float:
     all-positive series of dickman.int_exp; log t <= 20.8 up to 10^9.  At
     t = 2 that sum lands one ulp from li(2), so LI2 is returned there.
     """
-    if t < 2:
-        raise DomainError(f"li implemented for t >= 2, got {t}")
+    if not 2 <= t < math.inf:
+        raise DomainError(f"li needs finite t >= 2, got {t}")
     if t == 2:
         return LI2
     s = math.log(t)

@@ -1,29 +1,12 @@
 """Exact counts of y-friable integers by three mutually checking methods.
 
-psi_enumerate meets in the middle: it splits the primes up to y between two
-numpy sets of friable integers kept in log space and joins the sets with
-searchsorted. x can be astronomically large when y is small (the regime
-where u = log x/log y is big). Exactness at the x boundary is restored by
-big-integer resolution of guard-band hits, whose exact values are rebuilt
-from links each set member keeps to the member it extends.
-psi_sieve is a segmented sieve for x up to 1e8 over the m prime to 6 only.
-Each y-friable n <= x is one s = 2^a 3^b (3 only when y >= 3) times one
-y-friable m prime to 6, so Psi(x, y) is the sum over s of the number of such
-m <= x // s. The m = 6 i + r, r = 1 or 5, are two int32 arrays over i, a
-third of the numbers up to x; the powers of the primes 5 <= p <= min(y,
-sqrt(x)) are multiplied in along strides of i, so that entry i holds that
-friable part of m, and the m whose cofactor is at most y are counted
-against the limits (x // s - r) // 6 by one searchsorted. A segment holds
-360360 = 2^3 3^2 5 7 11 13 indices of a class (1.4 MB, inside a core's L2
-cache), so the powers of 5, 7, 11 and 13 that divide 360360 are multiplied
-once per call into a base segment of each class (a wheel) that every
-segment copies.
-psi_buchstab applies Buchstab's identity one prime at a time to an array
-of distinct quotients of x, sorting only the terms no identity closes: a
-prime p above the cube root of x adds x // p^2 and, for m = x // p >= p,
-m // q for each prime q from the cube root up to p, and m joins x at the
-level below the cube root; a quotient below its prime is counted where it
-is made, and Psi(n, 3) has a closed form.
+psi_enumerate meets in the middle: two numpy sets of friable integers kept
+in log space, joined by searchsorted, with guard-band hits settled in big
+integers; x can be astronomically large when y is small.  psi_sieve is a
+segmented sieve of the m prime to 6, weighted by the 3-smooth s.
+psi_buchstab applies Buchstab's identity one prime at a time to an
+array of distinct quotients of x.  Each function's docstring states its
+method and its caps.
 """
 
 import math

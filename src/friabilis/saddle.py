@@ -170,9 +170,11 @@ def alpha_approx(log_x: float, y: float) -> float:
     """First-order closed form log(1 + y/log x)/log y, valid for 2 <= y <= (log x)^2."""
     log_x = float(log_x)
     y = float(y)
-    if y < 2.0:
-        raise DomainError(f"alpha_approx needs y >= 2, got {y}")
-    if y > log_x * log_x:
+    if not 2.0 <= y < math.inf:
+        raise DomainError(f"alpha_approx needs finite y >= 2, got {y}")
+    if not 0.0 < log_x < math.inf:
+        raise DomainError(f"alpha_approx needs finite log_x > 0, got {log_x}")
+    if not y <= log_x * log_x:
         raise DomainError(f"alpha_approx needs y <= (log x)^2 = {log_x * log_x:.6g}, got {y}")
     return math.log1p(y / log_x) / math.log(y)
 
@@ -205,14 +207,20 @@ def prime_power_sums(s: float, table: PrimeTable, y: float) -> tuple:
 
 def w_sigma(sigma: float, y: float) -> float:
     """w_sigma = (y^{1-sigma} - 1)/((1 - sigma) log y), limit 1 at sigma = 1."""
+    sigma = float(sigma)
+    if not -math.inf < sigma < math.inf:
+        raise DomainError(f"w_sigma needs a finite sigma, got {sigma}")
     y = float(y)
-    if y <= 1.0:
-        raise DomainError(f"w_sigma needs y > 1, got {y}")
-    z = (1.0 - float(sigma)) * math.log(y)
+    if not 1.0 < y < math.inf:
+        raise DomainError(f"w_sigma needs finite y > 1, got {y}")
+    z = (1.0 - sigma) * math.log(y)
     if abs(z) < 1e-6:
         # 3-term Taylor of expm1(z)/z through the removable singularity
         return 1.0 + z / 2.0 + z * z / 6.0
-    return math.expm1(z) / z
+    try:
+        return math.expm1(z) / z
+    except OverflowError:
+        raise RangeError(f"w_sigma overflows a double at sigma={sigma}, y={y}") from None
 
 
 def f_sigma(sigma: float, log_x: float, y: float) -> float:
@@ -220,10 +228,13 @@ def f_sigma(sigma: float, log_x: float, y: float) -> float:
     sigma = float(sigma)
     if not 0.0 <= sigma <= 1.0:
         raise DomainError(f"f_sigma needs sigma in [0, 1], got {sigma}")
+    log_x = float(log_x)
+    if not -math.inf < log_x < math.inf:
+        raise DomainError(f"f_sigma needs a finite log_x, got {log_x}")
     y = float(y)
-    if y <= 1.0:
-        raise DomainError(f"f_sigma needs y > 1, got {y}")
-    return sigma * float(log_x) + int_exp((1.0 - sigma) * math.log(y))
+    if not 1.0 < y < math.inf:
+        raise DomainError(f"f_sigma needs finite y > 1, got {y}")
+    return sigma * log_x + int_exp((1.0 - sigma) * math.log(y))
 
 
 def f_at_beta_identity(log_x: float, y: float) -> tuple:

@@ -70,7 +70,10 @@ def predicted_gap(log_x: float, c: float, state: SaddleState) -> float:
     and report the ratio rather than pretending the asymptotics are exact.
     For c in (1,2) the formula is only meaningful when alpha < 1/2; the
     record builder flags that case instead of raising.
+    Needs finite log x > 1, so that log_2 x exists.
     """
+    if not 1.0 < log_x < math.inf:
+        raise DomainError(f"predicted_gap needs finite log_x > 1, got {log_x}")
     regime = classify_regime(c)
     if regime == "c_lt_1":
         return (1.0 / c - 1.0) * log_x
@@ -113,14 +116,16 @@ def z_bruijn(log_x: float, y: float) -> float:
     y = log x both terms collapse to (log 2) log x/log_2 x, giving the
     familiar (log 4) log x/log_2 x.
     """
-    if y < 3.0 or log_x < math.log(y):
-        raise DomainError(f"z_bruijn needs x >= y >= 3, got log_x={log_x}, y={y}")
+    if not (3.0 <= y and math.log(y) <= log_x < math.inf):
+        raise DomainError(f"z_bruijn needs finite x >= y >= 3, got log_x={log_x}, y={y}")
     ly = math.log(y)
     return (log_x / ly) * math.log1p(y / log_x) + (y / ly) * math.log1p(log_x / y)
 
 
 def z_cases(log_x: float, c: float) -> float:
-    """Explicit terms of the case expansion of Z(x,y) at y = (log x)^c."""
+    """Explicit terms of the case expansion of Z(x,y) at y = (log x)^c, finite log x > 1."""
+    if not 1.0 < log_x < math.inf:
+        raise DomainError(f"z_cases needs finite log_x > 1, got {log_x}")
     regime = classify_regime(c)
     l2 = math.log(log_x)
     if regime == "c_eq_1":

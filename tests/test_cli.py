@@ -218,6 +218,7 @@ BAD_INPUTS = [
     (["psi", "--x", "1e400", "--y", "100", "--method", "buchstab"], 4),
     (["psi", "--log-x", "20", "--y", "100", "--method", "all"], 3),  # refused before counting
     (["compare", "--c", "1.2", "--max-count", "3"], 4),   # no feasible x: the count binds
+    (["rho", "--export-grid", "--u", "3"], 3),            # the grid or one u, not both
 ]
 
 
@@ -231,14 +232,16 @@ def test_bad_input_typed_exit(argv, code):
     assert len(proc.stderr) < 200  # no 301-digit limit
 
 
-# sha256 of `rho --export-grid -`: u,log_rho at the 16,385 nodes i/128 up to 128
+# sha256 of `rho --export-grid`: u,log_rho at the 16,385 nodes i/128 up to 128
 EXPORT_GRID_SHA256 = "4c869ad9bbcab51e738a8990703d88a2472b1c5438c74df8b0813873c1cee910"
 
 
 def test_rho_grid_export(tmp_path):
     path = tmp_path / "grid.csv"
-    proc = run_proc(["rho", "--export-grid", str(path)])
+    proc = run_proc(["rho", "--export-grid", "--output", str(path)])
     assert proc.returncode == 0
+    assert proc.stdout == b""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_GRID_SHA256
     lines = path.read_text().splitlines()
     assert lines[0] == "u,log_rho"
     assert lines[1] == "0,0"
@@ -246,11 +249,20 @@ def test_rho_grid_export(tmp_path):
     assert float(u) == 128.0
     assert float(lr) < -500.0
     # every node to the bit, and the file and stdout forms agree
-    proc = run_proc(["rho", "--export-grid", "-"])
+    proc = run_proc(["rho", "--export-grid"])
     assert proc.returncode == 0
     assert proc.stdout.count(b"\n") == 16386
     assert hashlib.sha256(proc.stdout).hexdigest() == EXPORT_GRID_SHA256
     assert proc.stdout == path.read_bytes()
+
+
+def test_export_grid_takes_no_path(tmp_path):
+    # the grid goes where every result goes: stdout, or the --output file
+    with pytest.raises(SystemExit) as exc:
+        main(["rho", "--export-grid", str(tmp_path / "g.csv"),
+              "--output", str(tmp_path / "f.csv")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rho_log_flag(capsys):
@@ -304,7 +316,7 @@ def test_output_removed_on_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["psi", "--x", "100", "--y", "5", "--output", "{dir}/nodir/P"],
-    ["rho", "--export-grid", "{dir}/nodir/g.csv"],
+    ["rho", "--export-grid", "--output", "{dir}/nodir/g.csv"],
 ])
 def test_unwritable_path_exit_3(argv, tmp_path, capsys):
     argv = [a.format(dir=tmp_path) for a in argv]

@@ -300,6 +300,14 @@ def test_default_grid_is_cached():
     assert g.u_max == 128.0 and g.h == 1.0 / 128
 
 
+def test_grid_equality_is_identity():
+    a, b = build_rho_grid(10), build_rho_grid(10)
+    assert a == a
+    assert (a == b) is False
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
 # --- xi ----------------------------------------------------------------------------
 
 
@@ -410,6 +418,12 @@ def test_xi_expansion_values():
         xi_expansion(9.9)
 
 
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, math.nextafter(10.0, 0.0)])
+def test_xi_expansion_bad_input_is_a_domain_error(u):
+    with pytest.raises(DomainError, match="^xi_expansion needs"):
+        xi_expansion(u)
+
+
 def test_xi_expansion_error_band():
     for u in (1e3, 1e4, 1e6):
         l, ll = math.log(u), math.log(math.log(u))
@@ -487,7 +501,7 @@ def test_rho_asymptotic_trend():
 def test_export_grid_csv_roundtrip(grid, capsys):
     # rho --export-grid evaluates the nodes itself; its rows read back to
     # the default grid, node for node
-    assert main(["rho", "--export-grid", "-"]) == 0
+    assert main(["rho", "--export-grid"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "u,log_rho"
     assert len(lines) == len(grid.log_rho) + 1

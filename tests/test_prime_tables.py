@@ -112,6 +112,16 @@ def test_sieve_matches_trial_division():
     assert sieve_primes(10**4).primes.tolist() == trial_division_primes(10**4)
 
 
+def test_sieve_small_limits_by_trial_division():
+    # the sieving primes come from the sieve one level down; every limit up
+    # to 300 runs the recursion's base cases (no sieving primes below 4)
+    primes = trial_division_primes(300)
+    for limit in range(2, 301):
+        got = sieve_primes(limit).primes
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in primes if p <= limit], limit
+
+
 def test_pi_1e6(table_1e6):
     assert table_1e6.pi(10**6) == 78498
 
@@ -139,6 +149,14 @@ def test_log_primes_exact(table_1e6):
     idx = [rnd.randrange(len(table_1e6.primes)) for _ in range(500)]
     for i in idx:
         assert table_1e6.log_primes[i] == pytest.approx(math.log(table_1e6.primes[i]), abs=0, rel=1e-15)
+
+
+def test_table_equality_is_identity():
+    a, b = sieve_primes(100), sieve_primes(100)
+    assert a == a
+    assert (a == b) is False
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
 
 
 def test_sieve_domain_errors():
@@ -236,6 +254,12 @@ def test_li_increasing_and_pnt_band():
 def test_li_domain():
     with pytest.raises(DomainError):
         li(1.5)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, math.nextafter(2.0, 0.0)])
+def test_li_bad_input_is_a_domain_error(t):
+    with pytest.raises(DomainError, match="^li needs"):
+        li(t)
 
 
 # --- big_pi --------------------------------------------------------------------

@@ -358,6 +358,15 @@ def test_alpha_approx_values():
         alpha_approx(lx, 1.2)
 
 
+@pytest.mark.parametrize("log_x,y", [
+    (math.nan, 10.0), (math.inf, 10.0), (-math.inf, 10.0), (-10.0, 10.0),
+    (10.0, math.nan), (1e200, math.inf), (10.0, -math.inf), (10.0, math.nextafter(2.0, 0.0)),
+])
+def test_alpha_approx_bad_input_is_a_domain_error(log_x, y):
+    with pytest.raises(DomainError, match="^alpha_approx needs"):
+        alpha_approx(log_x, y)
+
+
 def test_alpha_approx_sweep_constant(table):
     worst = 0.0
     for c in (0.5, 1.0, 1.5):
@@ -446,6 +455,21 @@ def test_w_sigma_values():
         w_sigma(0.5, 1.0)
 
 
+@pytest.mark.parametrize("sigma,y", [
+    (math.nan, 10.0), (math.inf, 10.0), (-math.inf, 10.0),
+    (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf), (0.5, 1.0),
+])
+def test_w_sigma_bad_input_is_a_domain_error(sigma, y):
+    with pytest.raises(DomainError, match="^w_sigma needs"):
+        w_sigma(sigma, y)
+
+
+def test_w_sigma_overflow_is_a_range_error():
+    # y^(1 - sigma) past the largest double
+    with pytest.raises(RangeError, match="^w_sigma overflows"):
+        w_sigma(-1000.0, 1e300)
+
+
 def test_w_sigma_seam_continuity():
     ly = math.log(1e4)
     for sign in (1.0, -1.0):
@@ -465,6 +489,16 @@ def test_f_sigma_endpoints(table):
         f_sigma(1.2, lx, 79.0)
     with pytest.raises(DomainError):
         f_sigma(-0.1, lx, 79.0)
+
+
+@pytest.mark.parametrize("sigma,log_x,y", [
+    (math.nan, 10.0, 10.0),
+    (0.5, math.nan, 10.0), (0.5, math.inf, 10.0), (0.5, -math.inf, 10.0),
+    (0.5, 10.0, math.nan), (0.5, 10.0, math.inf), (0.5, 10.0, -math.inf), (0.5, 10.0, 1.0),
+])
+def test_f_sigma_bad_input_is_a_domain_error(sigma, log_x, y):
+    with pytest.raises(DomainError, match="^f_sigma needs"):
+        f_sigma(sigma, log_x, y)
 
 
 def test_f_convex_argmin_at_beta(table):

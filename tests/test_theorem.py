@@ -39,6 +39,13 @@ def test_predicted_gap_closed_forms(table):
     assert th.predicted_gap(50.0, 0.7, None) == pytest.approx((1 / 0.7 - 1) * 50.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("log_x", [math.nan, math.inf, -math.inf, 1.0])
+def test_predicted_gap_bad_input_is_a_domain_error(log_x):
+    for c in (0.5, 1.0, 1.5):
+        with pytest.raises(DomainError, match="^predicted_gap needs"):
+            th.predicted_gap(log_x, c, None)
+
+
 def test_predicted_gap_saddle_regime(table):
     lx = math.log(1e10)
     y = lx ** 1.5
@@ -95,6 +102,15 @@ def test_z_bruijn_collapse():
         th.z_bruijn(1.0, 4.0)
 
 
+@pytest.mark.parametrize("log_x,y", [
+    (math.nan, 10.0), (math.inf, 10.0), (-math.inf, 10.0),
+    (10.0, math.nan), (math.inf, math.inf), (10.0, -math.inf), (10.0, math.nextafter(3.0, 0.0)),
+])
+def test_z_bruijn_bad_input_is_a_domain_error(log_x, y):
+    with pytest.raises(DomainError, match="^z_bruijn needs"):
+        th.z_bruijn(log_x, y)
+
+
 def test_z_cases_match_z_bruijn():
     # discrepancy stays within the scale of the first omitted term
     for c in (0.5, 0.7, 1.0, 1.3, 1.5, 1.8):
@@ -111,6 +127,14 @@ def test_z_cases_match_z_bruijn():
             assert d <= 1.5 * omit, (c, x, d, omit)
     with pytest.raises(DomainError):
         th.z_cases(30.0, 2.0)
+
+
+@pytest.mark.parametrize("log_x", [math.nan, math.inf, -math.inf, 1.0, 0.0])
+def test_z_cases_bad_input_is_a_domain_error(log_x):
+    # log_2 x is taken in every regime, so log x must exceed 1
+    for c in (0.5, 1.0, 1.5):
+        with pytest.raises(DomainError, match="^z_cases needs"):
+            th.z_cases(log_x, c)
 
 
 def test_regime_record_refuses_a_disagreeing_x_exact(table):
