@@ -147,6 +147,8 @@ def _run_rho(args, fh) -> None:
     if args.export_grid:
         if args.u is not None:
             raise DomainError("rho takes --u or --export-grid, not both")
+        if args.format == "json":
+            raise DomainError("rho --export-grid writes CSV only, not --format json")
         _write_rho_grid(fh)
         return
     if args.u is None:
@@ -181,7 +183,9 @@ def _run_alpha(args, fh) -> None:
     state = solve_alpha(log_x, table, args.y)
     meta = {"subcommand": "alpha", "x_form": form, "log_x": log_x,
             "y": args.y, "format": args.format}
-    _emit(args, meta, [asdict(state)], fh, scalar=state.alpha)
+    # the residual is a property, read after the fields, so it stays the last column
+    row = {**asdict(state), "solver_residual": state.solver_residual}
+    _emit(args, meta, [row], fh, scalar=state.alpha)
 
 
 def _run_psi(args, fh) -> None:

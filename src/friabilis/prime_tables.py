@@ -37,9 +37,9 @@ _SEGMENT = 1 << 20
 _MAX_LIMIT = 10**8
 
 # exact_sum extracts one block at a time, so that the block and its two
-# work buffers stay in cache: a 664,579-term prime sum takes 3.2 to 3.9 ms
-# in blocks of 2^15 or 2^16 terms, 4.5 to 6.1 ms in 2^13 or 2^18, 13 ms in
-# one piece (medians of 15 over four such sums, one core of a 2-vCPU VM)
+# work buffers stay in cache: a 664,579-term prime sum takes 2.4 to 3.1 ms
+# in blocks of 2^15 or 2^16 terms, 3.7 to 5.8 ms in 2^13 or 2^18, 8 to 10 ms
+# in one piece (medians of 15 over four such sums, one core of a 2-vCPU VM)
 _BLOCK = 1 << 15
 # below this many terms math.fsum of the list is the faster of the two; on
 # prime sums (microseconds, list against extraction): 21/33 at 512 terms,
@@ -68,8 +68,16 @@ def exact_sum(arr) -> float:
     terms r take M with 2^M > n + 2, e with max|r| < 2^e and sigma =
     2^(e+M); q = (sigma + r) - sigma and r - q are exact, every q is a
     multiple of 2^(e+M-53) and |sum q| < sigma, so q.sum() is exact in any
-    order.  Each pass takes about 53 - M bits off r; when r is all zero
-    the exact pass sums go to math.fsum, which rounds their total once.
+    order.  Each pass takes about 53 - M bits off r and leaves
+    |r| <= ulp(sigma)/2 < 2^(e+M-52).  A block of one sign and no zero (every
+    prime sum) bounds its next pass by that, with no new max or min: its
+    terms are multiples of 2^g, g = max(f - 53, -1074) for the frexp
+    exponent f of its smallest |term|, and so is r, so once ulp(sigma) =
+    2^(e+M-52) <= 2^g the pass leaves r = 0 and the block is done; two
+    passes cover a block whose terms span 51 - 2M binades, 19 at 2^15
+    terms.  Any other block takes max and min again after each pass and
+    stops when r is all zero.  The exact pass sums go to math.fsum, which
+    rounds their total once.
     Short arrays, non-finite terms and terms of 2^(1022-M) or more (M taken
     from the whole array, so no partial sum can overflow) go to math.fsum
     itself, so the value or error is the one it gives.
@@ -95,18 +103,33 @@ def _exact_parts(arr) -> list:
         block = v[start:start + _BLOCK]
         m = (len(block) + 2).bit_length()
         qb, rb = q[:len(block)], r[:len(block)]
-        while True:
-            hi, lo = float(block.max()), float(block.min())
-            if not (-cap < lo and hi < cap):  # nan fails both
-                return v.tolist()
-            if hi == lo == 0.0:
-                break
+        hi, lo = float(block.max()), float(block.min())
+        if not (-cap < lo and hi < cap):  # nan fails both
+            return v.tolist()
+        if lo > 0.0 or hi < 0.0:
+            # one sign, no zero: |r| < 2^e bounds each next pass, and the
+            # pass whose ulp(sigma) reaches 2^g leaves r = 0 (see exact_sum)
+            g = max(math.frexp(lo if lo > 0.0 else -hi)[1] - 53, -1074)
+            e = math.frexp(max(hi, -lo))[1]
+            while True:
+                sigma = math.ldexp(1.0, e + m)
+                np.add(block, sigma, out=qb)
+                qb -= sigma
+                parts.append(float(qb.sum()))
+                e += m - 52
+                if e <= g:
+                    break
+                np.subtract(block, qb, out=rb)
+                block = rb
+            continue
+        while hi != 0.0 or lo != 0.0:
             sigma = math.ldexp(1.0, math.frexp(max(hi, -lo))[1] + m)
             np.add(block, sigma, out=qb)
             qb -= sigma
             np.subtract(block, qb, out=rb)
             parts.append(float(qb.sum()))
             block = rb
+            hi, lo = float(block.max()), float(block.min())
     return parts
 
 

@@ -3,13 +3,14 @@
 The saddle alpha = alpha(x, y) solves sum_{p <= y} log p / (p^alpha - 1) = log x,
 by Newton over the log-primes; where PrimeTable.gauss_prefix compresses
 them, Newton first runs on their Gauss-compressed form, and the full
-log-primes take one pass to confirm alpha and at most one more for its
-residual.  Around it live the partial
+log-primes take one pass to confirm alpha; the correctly rounded residual
+is summed only when it is read.  Around it live the partial
 zeta, the sums S and T, the weight w_sigma, the function
 f(sigma) = sigma log x + I((1 - sigma) log y) with its stationary point
 beta = 1 - xi(u)/log y, and the saddle approximation to Psi itself.
 """
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -31,7 +32,23 @@ class SaddleState:
     c: float          # log y / log_2 x, reporting only; NaN when log_x <= 1
     alpha: float
     beta: float       # 1 - xi(u)/log y; NaN when u < 1
-    solver_residual: float
+
+    # solve_alpha also sets _log_primes, the log-primes p <= y it solved
+    # over: a view of the table's array, not a field, so that asdict, repr
+    # and == leave it out.  solver_residual is not a field either: asdict
+    # leaves it out, and the alpha command appends it as the last column.
+
+    @functools.cached_property
+    def solver_residual(self) -> float:
+        """sum_{p<=y} log p / (p^alpha - 1) - log_x, its sum correctly rounded.
+
+        Computed on the first read, from the terms of alpha over the
+        log-primes of the solve, and kept; a solve itself never sums them.
+        """
+        t = np.empty_like(self._log_primes)
+        with np.errstate(over="ignore"):
+            _terms(self._log_primes, self.alpha, t)
+        return exact_sum(t) - self.log_x
 
 
 # Newton passes allowed per solve; from the closed form or from beta a solve
@@ -72,10 +89,10 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
     its result: one pass confirms alpha in most solves, two in the rest.
     On a prefix too short to compress Newton runs on the full log-primes
     alone: 4 to 8 passes for u >= 1/2, 4 where beta starts it at
-    2 <= u <= 100, up to 10 for u far below 1.  The residual is correctly
-    rounded from the terms of the returned alpha: when the last step left
-    alpha unchanged they are already in the Newton buffer, otherwise one
-    more pass recomputes them.  Every call solves;
+    2 <= u <= 100, up to 10 for u far below 1.  The solve sums no residual:
+    SaddleState.solver_residual takes one more pass over the log-primes and
+    one exact_sum on its first read, so a caller that needs only alpha pays
+    for neither.  Every call solves;
     the result is also kept as the one-entry memo that psi_saddle reads.
     A root below alpha = 1e-18 (log_x = 1e300 at y = 100) is out of the
     solver's range and raises RangeError; the floor is checked on the
@@ -102,21 +119,17 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
     a = math.log1p(y / log_x) / log_y
     if beta > a:  # NaN or non-positive beta keeps the closed form
         a = beta
-    t = np.empty_like(logp)
     with np.errstate(over="ignore"):
         if (prefix := table.gauss_prefix(k)) is not None:
-            points, weights = prefix
-            a, _ = _newton(points, weights, log_x, y, a, np.empty_like(points), _START_STEP)
-        a, filled = _newton(logp, None, log_x, y, a, t, 1e-15)
-        if a < 1e-18:
-            raise RangeError(f"alpha(x, y) lies below 1e-18 at log_x={log_x}, y={y}")
-        if a != filled:
-            _terms(logp, a, t)
-    residual = exact_sum(t) - log_x
+            a = _newton(*prefix, log_x, y, a, _START_STEP)
+        a = _newton(logp, None, log_x, y, a, 1e-15)
+    if a < 1e-18:
+        raise RangeError(f"alpha(x, y) lies below 1e-18 at log_x={log_x}, y={y}")
     _last_solve = (weakref.ref(table), log_x, y, a)
     c = log_y / math.log(log_x) if log_x > 1.0 else math.nan
-    return SaddleState(log_x=log_x, y=y, u=u, c=c, alpha=a, beta=beta,
-                       solver_residual=residual)
+    state = SaddleState(log_x=log_x, y=y, u=u, c=c, alpha=a, beta=beta)
+    state._log_primes = logp
+    return state
 
 
 def _terms(logp, a, t):
@@ -126,17 +139,16 @@ def _terms(logp, a, t):
     np.divide(logp, t, out=t)
 
 
-def _newton(logp, weights, log_x, y, a, t, tol):
+def _newton(logp, weights, log_x, y, a, tol):
     """Newton on g(a) = sum w log p / (p^a - 1) - log_x from a, over logp.
 
-    weights None means all 1.  Returns alpha and the a whose terms t holds
-    on return: when they are equal, t holds the terms of alpha.
+    weights None means all 1.  Returns alpha.
     """
+    t = np.empty_like(logp)
     lo, hi = 0.0, math.inf
     prev = math.inf
     for _ in range(_MAX_PASSES):
         _terms(logp, a, t)
-        filled = a
         wt = t if weights is None else weights * t
         val = float(wt.sum()) - log_x
         # g'(a) = -sum w (log p)^2 p^a / (p^a - 1)^2 = -sum w t (log p + t)
@@ -163,7 +175,7 @@ def _newton(logp, weights, log_x, y, a, t, tol):
         prev = step
     else:
         raise NumericError(f"alpha Newton did not converge for log_x={log_x}, y={y}")
-    return a, filled
+    return a
 
 
 def alpha_approx(log_x: float, y: float) -> float:
@@ -246,6 +258,10 @@ def f_at_beta_identity(log_x: float, y: float) -> tuple:
     """
     log_x = float(log_x)
     y = float(y)
+    if not 2.0 <= y < math.inf:
+        raise DomainError(f"f_at_beta_identity needs finite y >= 2, got {y}")
+    if not -math.inf < log_x < math.inf:
+        raise DomainError(f"f_at_beta_identity needs a finite log_x, got {log_x}")
     log_y = math.log(y)
     u = log_x / log_y
     if u < 1.0:
@@ -267,8 +283,10 @@ def psi_saddle(log_x: float, table: PrimeTable, y: float) -> float:
     """
     log_x = float(log_x)
     y = float(y)
-    if y < 2.0:
-        raise DomainError(f"psi_saddle needs y >= 2, got {y}")
+    if not 2.0 <= y < math.inf:
+        raise DomainError(f"psi_saddle needs finite y >= 2, got {y}")
+    if not -math.inf < log_x < math.inf:
+        raise DomainError(f"psi_saddle needs a finite log_x, got {log_x}")
     u = log_x / math.log(y)
     if u < 2.0:
         raise DomainError(f"psi_saddle intended for u >= 2, got u = {u}")

@@ -21,7 +21,8 @@ from .prime_tables import PrimeTable, _exact_parts, exact_sum
 from .psi_exact import _preflight, psi_enumerate
 from .saddle import SaddleState, solve_alpha
 
-# y > e^e keeps log log log y positive (oscillation normalizer)
+# y > e^e makes log log log y positive (the oscillation normalizer), though
+# just above e^e it still rounds to 0, so oscillation_record tests it too
 _MIN_OSC_Y = math.exp(math.e)
 
 
@@ -159,6 +160,8 @@ def regime_record(log_x: float, c: float, table: PrimeTable, *,
     """
     regime = classify_regime(c)
     y = regime_y(log_x, c)
+    if not y >= 2.0:  # (log x)^c rounds to 1 for tiny c, and log y would be 0
+        raise DomainError(f"regime_record needs y = (log x)^c >= 2, got {y:.6g}")
     u = log_x / math.log(y)
     state = solve_alpha(log_x, table, y)
     count = psi_enumerate(log_x, table, y, x_exact=x_exact, max_count=max_count)
@@ -179,8 +182,8 @@ def oscillation_record(y: float, c: float, table: PrimeTable, *,
     i.e. log x = y^(1/c); pass alpha explicitly to probe a synthetic value
     in (0, 1], where I((1-alpha) log y) is defined.
     """
-    if y <= _MIN_OSC_Y:
-        raise DomainError(f"need y > e^e for log_3 y > 0, got {y}")
+    if not (_MIN_OSC_Y < y < math.inf and math.log(math.log(math.log(y))) > 0.0):
+        raise DomainError(f"oscillation_record needs finite y > e^e for log_3 y > 0, got {y}")
     if not 1.0 < c < 2.0:
         raise DomainError(f"oscillation regime needs c in (1, 2), got {c}")
     if alpha is None:

@@ -1,8 +1,10 @@
 """CLI surface: grammar, exit codes, output formats, determinism."""
 
 import argparse
+import contextlib
 import decimal
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -10,6 +12,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friabilis import cli
 from friabilis.cli import main
@@ -219,6 +223,8 @@ BAD_INPUTS = [
     (["psi", "--log-x", "20", "--y", "100", "--method", "all"], 3),  # refused before counting
     (["compare", "--c", "1.2", "--max-count", "3"], 4),   # no feasible x: the count binds
     (["rho", "--export-grid", "--u", "3"], 3),            # the grid or one u, not both
+    (["rho", "--export-grid", "--format", "json"], 3),    # the grid has a CSV form only
+    (["compare", "--c", "1e-300", "--log-x", "100"], 3),  # y = 100^(1e-300) rounds to 1
 ]
 
 
@@ -254,6 +260,15 @@ def test_rho_grid_export(tmp_path):
     assert proc.stdout.count(b"\n") == 16386
     assert hashlib.sha256(proc.stdout).hexdigest() == EXPORT_GRID_SHA256
     assert proc.stdout == path.read_bytes()
+
+
+def test_export_grid_is_csv_in_every_format_it_takes(capsys):
+    # plain and csv both write the CSV grid; json is refused, not ignored
+    for fmt in ("plain", "csv"):
+        code, out = run_cli(["rho", "--export-grid", "--format", fmt], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_GRID_SHA256, fmt
+    assert run_cli(["rho", "--export-grid", "--format", "json"], capsys) == (3, "")
 
 
 def test_export_grid_takes_no_path(tmp_path):
@@ -471,3 +486,54 @@ def test_oscillate_bad_grid():
                      "--y-max", "1e3", "--y-steps", "3"]).returncode == 3
     assert run_proc(["oscillate", "--c", "1.5", "--y-min", "1e3",
                      "--y-max", "1e4", "--y-steps", "0"]).returncode == 3
+
+
+# --- drawn argument vectors ---------------------------------------------------------
+
+_REALS = ["nan", "inf", "-inf", "0", "-0", "-1", "-1e300", "1e-300", "1e300", "1e400",
+          "0.9999999999999999", "1", "1.0000000000000002",
+          "1.9999999999999998", "2", "2.0000000000000004", "0.5", "1.5", "3", "30", "100"]
+_XS = ["nan", "inf", "-1", "0", "1", "2", "3", "1.5", "100", "1e6", "1e300", "1e400"]
+# oscillate solves once per step and caps no step count, so only small ones are drawn
+_STEPS = ["-1", "0", "1", "2", "3", "1.5", "nan"]
+# small count caps keep each call to milliseconds
+_CAPS = ["nan", "inf", "-1", "0", "1e-300", "1", "2", "100", "1e4"]
+# option -> values, the required options of each subcommand first
+_FUZZ_OPTIONS = {
+    "primes": ({"--limit": ["-1", "0", "1", "2", "3", "100", "1e3", "1" + "0" * 400]}, {}),
+    "rho": ({}, {"--u": _REALS, "--log": None, "--export-grid": None}),
+    "xi": ({"--u": _REALS}, {}),
+    "alpha": ({"--y": _REALS}, {"--x": _XS, "--log-x": _REALS}),
+    "psi": ({"--y": _REALS, "--max-count": _CAPS},
+            {"--x": _XS, "--log-x": _REALS, "--method": ["enum", "sieve", "buchstab", "all"]}),
+    "compare": ({"--c": _REALS, "--max-count": _CAPS}, {"--x": _XS, "--log-x": _REALS}),
+    "oscillate": ({"--c": _REALS, "--y-min": _REALS, "--y-max": _REALS, "--y-steps": _STEPS},
+                  {}),
+}
+
+
+@st.composite
+def _argvs(draw):
+    sub = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    required, optional = _FUZZ_OPTIONS[sub]
+    drawn = {**required, **{opt: v for opt, v in optional.items() if draw(st.booleans())}}
+    if draw(st.booleans()):
+        drawn["--format"] = ["plain", "csv", "json"]
+    # "--opt=value", so that "-1e300" is taken as a value; every count runs
+    # under a small cap
+    return [sub] + [opt if values is None else f"{opt}={draw(st.sampled_from(values))}"
+                    for opt, values in drawn.items()]
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(argv=_argvs())
+def test_no_traceback_from_any_argv(argv):
+    # main returns a documented exit code or argparse exits 2; anything else
+    # that escapes, a NumericError included, is a bug
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 3, 4, 5), argv

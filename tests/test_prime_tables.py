@@ -467,6 +467,59 @@ def test_exact_parts_sum_exactly():
         _parts_are_exact(np.concatenate([filler, v]))
 
 
+def _one_block(rng, n, top, bottom):
+    # n terms with max exactly top and min exactly bottom, log-uniform between
+    v = 2.0 ** rng.uniform(math.log2(bottom), math.log2(top), n)
+    v[:2] = top, bottom
+    rng.shuffle(v)
+    return v
+
+
+def test_exact_sum_one_sign_blocks(table_1e6):
+    # a block of one sign and no zero stops when ulp(sigma) reaches the
+    # granule of its smallest term; at n = 2000 (M = 11) two passes hold
+    # exponents 51 - 2M = 29 apart, and one more makes a third
+    rng = np.random.default_rng(26)
+    n = 2000
+    odd = 1.0 + 2.0**-52  # a last mantissa bit that a pass too few would drop
+    third = []
+    for bottom, passes in ((odd * 2.0**-29, 2), (odd * 2.0**-30, 3)):
+        for sign in (1.0, -1.0):
+            for _ in range(3):
+                v = sign * _one_block(rng, n, 1.5, bottom)
+                parts = _exact_parts(v)
+                assert len(parts) == passes, (bottom, sign)
+                if passes == 3:
+                    third.append(parts[-1])
+                _same_as_fsum(v)
+                _parts_are_exact(v)
+    assert any(third)  # the third pass is not empty (its sum cancels now and then)
+    # all of one sign, across three blocks and a short tail
+    for sign in (1.0, -1.0):
+        v = sign * _one_block(rng, 3 * _BLOCK + 7, 1e3, 1e-3)
+        _same_as_fsum(v)
+        _parts_are_exact(v)
+    # zeros inside a positive block take the mixed loop, which checks r for 0
+    v = _one_block(rng, n, 1.5, 1e-5)
+    v[::7] = 0.0
+    v[3] = -0.0
+    _same_as_fsum(v)
+    _parts_are_exact(v)
+    # a subnormal smallest term: the granule is 2^-1074
+    for tiny in (3 * math.ulp(0.0), 2.0**-1030 + math.ulp(0.0)):
+        v = _one_block(rng, n, 1.5, 1e-3)
+        v[5] = tiny
+        _same_as_fsum(v)
+        _same_as_fsum(-v)
+        _parts_are_exact(v)
+    # prime sums: two passes per block
+    lp = table_1e6.log_primes
+    blocks = -(-len(lp) // _BLOCK)
+    for terms in (np.exp(-0.7 * lp), -np.log1p(-np.exp(-0.7 * lp)), lp / np.expm1(0.7 * lp)):
+        assert len(_exact_parts(terms)) == 2 * blocks
+        _same_as_fsum(terms)
+
+
 def test_chebyshev_psi_against_one_array_sum(table_1e6):
     # the slices' parts joined in one math.fsum round as one exact_sum over
     # the concatenated slices does, bit for bit

@@ -29,6 +29,7 @@ from friabilis.saddle import (
     w_sigma,
     zeta_partial,
 )
+from friabilis.theorem import oscillation_record
 
 
 @pytest.fixture(scope="module")
@@ -55,13 +56,14 @@ def bisect_alpha(log_x, primes, y):
 
 
 def _count_expm1(monkeypatch):
-    # one np.expm1 call per pass of solve_alpha over the log-primes
+    # one np.expm1 call per pass of solve_alpha over the log-primes,
+    # recorded by the length of the pass
     calls = []
     expm1 = np.expm1
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return expm1(*args, **kwargs)
+    def counting(x, *args, **kwargs):
+        calls.append(len(x))
+        return expm1(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "expm1", counting)
     return calls
@@ -209,26 +211,25 @@ def test_alpha_passes_per_solve(table, monkeypatch):
 
 
 def test_alpha_passes_from_beta(table, monkeypatch):
-    # where beta = 1 - xi(u)/log y starts Newton a solve makes 5 np.expm1
-    # calls, the residual included; from the closed form it made 7 or 8
-    calls = []
-    expm1 = np.expm1
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return expm1(*args, **kwargs)
-
-    monkeypatch.setattr(np, "expm1", counting)
+    # where beta = 1 - xi(u)/log y starts Newton a solve makes at most 4
+    # np.expm1 calls over its pi(y) log-primes and at most 4 over the
+    # compressed ones (y = 1e5 compresses nothing); from the closed form
+    # the full log-primes took 7 or 8
+    lengths = _count_expm1(monkeypatch)
     for y in (1e5, 1e6):
+        k = table.pi(y)
         for u in (2.0, 10.0, 100.0):
-            calls.clear()
+            lengths.clear()
             solve_alpha(u * math.log(y), table, y)
-            assert len(calls) <= 5, (y, u, len(calls))
+            full = lengths.count(k)
+            assert full <= 4, (y, u, lengths)
+            assert len(lengths) - full <= 4, (y, u, lengths)
 
 
 def test_exact_sum_passes_per_block(table, monkeypatch):
-    # each extraction pass over a block reads its exponent with one
-    # math.frexp call; prime sums take 2 or 3 passes per block
+    # a block of one sign reads two exponents with math.frexp, its largest
+    # and its smallest term's; a mixed block reads one in each extraction
+    # pass
     calls = []
     frexp = math.frexp
 
@@ -245,9 +246,10 @@ def test_exact_sum_passes_per_block(table, monkeypatch):
             exact_sum(terms)
             assert blocks <= len(calls) <= 3 * blocks, (s, len(calls))
     for u in (2.0, 0.5):
-        # the residual of the solution is the one exact_sum of a solve
+        # the residual, on its first read, is the one exact_sum of a solve
+        st = solve_alpha(u * math.log(1e6), table, 1e6)
         calls.clear()
-        solve_alpha(u * math.log(1e6), table, 1e6)
+        st.solver_residual
         assert blocks <= len(calls) <= 3 * blocks, (u, len(calls))
 
 
@@ -300,8 +302,9 @@ def test_alpha_against_plain_newton(table):
 
 def test_alpha_full_passes_and_group_cache(monkeypatch):
     # the compressed run leaves the full log-primes one pass to confirm
-    # alpha and at most one more for the residual (plain Newton makes 5
-    # from beta, 9 from the closed form below u = 1);
+    # alpha; the residual is summed only when read (plain Newton makes 5
+    # passes from beta, 9 from the closed form below u = 1, each counting
+    # its residual);
     # the Gauss rules are built on the first solve that needs them, not by
     # the sieve, kept on the table, and reused by every later solve
     lengths, eighs = [], []
@@ -328,7 +331,7 @@ def test_alpha_full_passes_and_group_cache(monkeypatch):
         lengths.clear()
         st = solve_alpha(u * math.log(y), fresh, y)
         monkeypatch.setattr(np, "expm1", expm1)
-        assert lengths.count(k) <= 2, (u, lengths)
+        assert lengths.count(k) <= 1, (u, lengths)
         assert alpha_newton(u * math.log(y), fresh.log_primes[:k], y)[2] == passes, u
         cold[u] = (st.alpha.hex(), st.solver_residual)
     groups = (k - prime_tables._HEAD) // prime_tables._GROUP
@@ -342,6 +345,65 @@ def test_alpha_full_passes_and_group_cache(monkeypatch):
     del fresh
     gc.collect()
     assert ref() is None
+
+
+@pytest.fixture(scope="module")
+def table_1e7():
+    return sieve_primes(10**7)
+
+
+def _cells_1e7():
+    y = 1e7
+    return [u * math.log(y) for u in (2.0, 13.0, 89.0)] + [y ** (1.0 / c) for c in (1.2, 1.5, 1.8)]
+
+
+def _count_extractions(monkeypatch):
+    # one call per exact_sum, under whichever name it was imported
+    calls = []
+    parts = prime_tables._exact_parts
+
+    def counting(arr):
+        calls.append(len(arr))
+        return parts(arr)
+
+    monkeypatch.setattr(prime_tables, "_exact_parts", counting)
+    return calls
+
+
+def test_solve_sums_no_residual(table, table_1e7, monkeypatch):
+    # a compressed solve sums nothing exactly and makes at most one pass
+    # over its pi(y) log-primes: the one that confirms alpha
+    sums = _count_extractions(monkeypatch)
+    lengths = _count_expm1(monkeypatch)
+    cells = [(table, 1e6, u * math.log(1e6)) for u in (0.5, 2.0, 13.0, 89.0)]
+    cells += [(table_1e7, 1e7, log_x) for log_x in _cells_1e7()]
+    for tab, y, log_x in cells:
+        lengths.clear()
+        solve_alpha(log_x, tab, y)
+        assert sums == [], (y, log_x)
+        assert lengths.count(tab.pi(y)) <= 1, (y, log_x, lengths)
+
+
+def test_residual_summed_on_first_read_only(table, monkeypatch):
+    sums = _count_extractions(monkeypatch)
+    for y, u in ((100.0, 2.0), (1e6, 13.0), (1e6, 0.5)):
+        st = solve_alpha(u * math.log(y), table, y)
+        first = st.solver_residual
+        assert sums == [table.pi(y)], (y, u)
+        assert st.solver_residual is first
+        assert sums == [table.pi(y)], (y, u)
+        sums.clear()
+
+
+def test_residual_is_fsum_at_1e7(table_1e7):
+    # the residual read on demand is math.fsum of the allocating term list
+    # minus log_x, bit for bit, on the 664,579 primes up to 1e7
+    lp = table_1e7.log_primes[:table_1e7.pi(1e7)]
+    for log_x in _cells_1e7():
+        st = solve_alpha(log_x, table_1e7, 1e7)
+        want = math.fsum((lp / np.expm1(st.alpha * lp)).tolist()) - st.log_x
+        assert st.solver_residual.hex() == want.hex(), log_x
+        assert abs(st.solver_residual) <= 1e-14 * log_x, log_x
 
 
 # --- alpha_approx ------------------------------------------------------------------
@@ -543,6 +605,43 @@ def test_f_at_beta_identity_cases(table):
         assert abs(lhs - rhs) <= 1e-6 * lx
     with pytest.raises(DomainError):
         f_at_beta_identity(math.log(100.0), 1e4)
+
+
+_E_E = math.exp(math.e)
+
+
+@pytest.mark.parametrize("name,args", [
+    ("f_at_beta_identity", (10.0, 1.0)), ("f_at_beta_identity", (10.0, 0.0)),
+    ("f_at_beta_identity", (10.0, math.nextafter(2.0, 0.0))),
+    ("f_at_beta_identity", (10.0, math.nan)), ("f_at_beta_identity", (10.0, math.inf)),
+    ("f_at_beta_identity", (10.0, -math.inf)),
+    ("f_at_beta_identity", (math.nan, 10.0)), ("f_at_beta_identity", (math.inf, 10.0)),
+    ("f_at_beta_identity", (-math.inf, 10.0)),
+    ("psi_saddle", (20.0, math.nan)), ("psi_saddle", (20.0, math.inf)),
+    ("psi_saddle", (20.0, -math.inf)), ("psi_saddle", (20.0, math.nextafter(2.0, 0.0))),
+    ("psi_saddle", (math.nan, 10.0)), ("psi_saddle", (math.inf, 10.0)),
+    ("psi_saddle", (-math.inf, 10.0)),
+    ("oscillation_record", (math.nan, 1.5)), ("oscillation_record", (math.inf, 1.5)),
+    ("oscillation_record", (-math.inf, 1.5)), ("oscillation_record", (_E_E, 1.5)),
+    # log log log y rounds to 0 an ulp above e^e, and the normalizer with it
+    ("oscillation_record", (math.nextafter(_E_E, math.inf), 1.5)),
+], ids=lambda v: repr(v) if isinstance(v, tuple) else v)
+def test_saddle_layer_bad_input_is_a_domain_error(name, args, table):
+    # refused by the function itself, before log y or a solve is taken
+    calls = {
+        "f_at_beta_identity": lambda: f_at_beta_identity(*args),
+        "psi_saddle": lambda: psi_saddle(args[0], table, args[1]),
+        "oscillation_record": lambda: oscillation_record(*args, table),
+    }
+    with pytest.raises(DomainError, match=f"^{name} needs"):
+        calls[name]()
+
+
+def test_saddle_layer_boundary_values_pass(table):
+    lhs, rhs = f_at_beta_identity(10.0, 2.0)
+    assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+    assert psi_saddle(20.0, table, 2.0) > 0.0
+    assert oscillation_record(_E_E * (1.0 + 1e-15), 1.5, table).normalizer > 0.0
 
 
 def test_exponent_identity(table):
