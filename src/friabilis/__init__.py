@@ -20,9 +20,7 @@ from .dickman import (
     rho,
     rho_asymptotic,
     xi,
-    xi_expansion,
     xi_integral,
-    xi_prime,
 )
 from .psi_exact import (
     PsiResult,
@@ -43,11 +41,6 @@ from .saddle import (
 )
 from .prime_tables import (
     PrimeTable,
-    RemainderSample,
-    big_pi,
-    chebyshev_psi,
-    li,
-    remainder_sample,
     sieve_primes,
 )
 from .theorem import (
@@ -66,6 +59,4 @@ from .theorem import (
     regime_y,
     write_oscillation_csv,
     write_regime_csv,
-    z_bruijn,
-    z_cases,
 )

@@ -24,7 +24,7 @@ from decimal import Decimal, InvalidOperation
 
 from . import __version__
 from .dickman import default_grid, rho, xi
-from .errors import DisagreementError, DomainError, ResourceError
+from .errors import DisagreementError, DomainError, ResourceError, short_int
 from .prime_tables import sieve_primes
 from .psi_exact import psi_buchstab, psi_enumerate, psi_sieve
 from .saddle import solve_alpha
@@ -41,6 +41,9 @@ from .theorem import (
 # most digits of an x written out; 10^(10^5) builds in milliseconds, while
 # int(Decimal) took about 57 s at 10^(10^6)
 _MAX_X_DIGITS = 100_000
+# most points of an oscillate grid: each point solves alpha and sums over the
+# primes up to y, 53 ms a point near y = 1e7 at c = 1.5 (one core of a 2-vCPU VM)
+_MAX_Y_STEPS = 1_000
 
 
 def _parse_x(text: str) -> tuple:
@@ -245,6 +248,8 @@ def _run_compare(args, fh) -> None:
 def _run_oscillate(args, fh) -> None:
     if args.y_steps < 1:
         raise DomainError(f"need at least one step, got {args.y_steps}")
+    if args.y_steps > _MAX_Y_STEPS:
+        raise ResourceError(f"--y-steps {short_int(args.y_steps)} exceeds cap {_MAX_Y_STEPS}")
     if not args.y_min > 0.0:
         raise DomainError(f"need y-min > 0, got {args.y_min}")
     if args.y_max < args.y_min:

@@ -101,15 +101,6 @@ def xi(u) -> XiValue:
     return XiValue(u, x, abs(math.expm1(x) - u * x))
 
 
-def xi_expansion(u) -> float:
-    """Leading expansion log u + log_2 u + log_2 u / log u; needs finite u >= 10."""
-    if not 10 <= u < math.inf:
-        raise DomainError(f"xi_expansion needs finite u >= 10, got {u}")
-    lu = math.log(u)
-    llu = math.log(lu)
-    return lu + llu + llu / lu
-
-
 # --- I(s) ----------------------------------------------------------------------
 
 
@@ -148,11 +139,6 @@ def xi_integral(u) -> float:
     if not u >= 1.0:
         raise DomainError(f"xi_integral needs u >= 1, got {u}")
     return int_exp(xi(u).xi)
-
-
-def xi_prime(u) -> float:
-    """xi'(u) for u >= 1; see XiValue.slope."""
-    return xi(u).slope
 
 
 def rho_asymptotic(u) -> float:

@@ -1,15 +1,12 @@
-"""Prime tables and the classical counting functions built on them.
+"""Prime tables and the exact sums over them.
 
 A PrimeTable holds every prime up to a limit as an int64 array together
-with float64 log-primes.  On top of the table: pi(t) and pi(t^{1/k}) at
-the exact integer roots of t, Chebyshev psi(t), the logarithmic integral
-li(t) (principal value, as Ei(log t) from its series), the weighted
-prime-power count Pi(t) = sum pi(t^{1/k})/k, and the two remainders
-r(t) = psi(t) - t and q(t) = Pi(t) - li(t).  exact_sum gives math.fsum's
-correctly rounded value of a float array without a Python list, by
-error-free extraction in a few numpy passes; every prime sum of the
-package goes through it.  gauss_prefix compresses a prefix of the
-log-primes by Gauss rules, for the alpha solver's first Newton run.
+with float64 log-primes, and counts pi(t) and pi(t^{1/k}) at the exact
+integer roots of t.  exact_sum gives math.fsum's correctly rounded value
+of a float array without a Python list, by error-free extraction in a few
+numpy passes; every prime sum of the package goes through it.
+gauss_prefix compresses a prefix of the log-primes by Gauss rules, for
+the alpha solver's first Newton run.
 
 Code that does exact integer arithmetic on primes takes them as Python
 ints, through ``table.primes[:k].tolist()``: int64 products wrap silently.
@@ -23,11 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dickman import EULER_GAMMA, int_exp
 from .errors import DomainError, RangeError, ResourceError, short_int
-
-# li(2) to 30 digits, the correctly rounded double that li(2) returns
-LI2 = 1.04516378011749278484458888919
 
 # Length of each segment in _sieve's loop; memory stays O(this) besides the
 # output.  Any length works, as the sieving primes come from a sieve of their own.
@@ -258,34 +251,6 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes, log_primes=np.log(primes.astype(np.float64)))
 
 
-def chebyshev_psi(t, table: PrimeTable) -> float:
-    """Chebyshev psi(t) = sum of log p over prime powers p^k <= t.
-
-    Each p with p^k <= t adds its log once per k, so the terms are the
-    log-prime slices that table.root_counts(t) delimits; one math.fsum over
-    the exact parts of every slice rounds the total once.
-    """
-    if t < 2:
-        raise DomainError(f"chebyshev_psi needs t >= 2, got {t}")
-    lp = table.log_primes
-    return math.fsum(part for c in table.root_counts(t) for part in _exact_parts(lp[:c]))
-
-
-def li(t) -> float:
-    """Principal-value logarithmic integral, li(t) = Ei(log t) for t >= 2.
-
-    Ei(s) = gamma + log s + I(s) (Abramowitz-Stegun 5.1.10), with I the
-    all-positive series of dickman.int_exp; log t <= 20.8 up to 10^9.  At
-    t = 2 that sum lands one ulp from li(2), so LI2 is returned there.
-    """
-    if not 2 <= t < math.inf:
-        raise DomainError(f"li needs finite t >= 2, got {t}")
-    if t == 2:
-        return LI2
-    s = math.log(t)
-    return EULER_GAMMA + math.log(s) + int_exp(s)
-
-
 def _iroot(n: int, k: int) -> int:
     """Exact floor(n**(1/k)) for integers n >= 0, k >= 1."""
     if n < 0 or k < 1:
@@ -298,41 +263,3 @@ def _iroot(n: int, k: int) -> int:
     while (r + 1) ** k <= n:
         r += 1
     return r
-
-
-def big_pi(t, table: PrimeTable) -> float:
-    """Riemann's weighted prime-power count Pi(t) = sum_{k>=1} pi(t^{1/k}) / k.
-
-    Equivalent to summing 1/k over prime powers p^k <= t; the counts are
-    table.root_counts(t), whose roots are exact.
-    """
-    if t < 2:
-        raise DomainError(f"big_pi needs t >= 2, got {t}")
-    return math.fsum(c / k for k, c in enumerate(table.root_counts(t), start=1))
-
-
-@dataclass
-class RemainderSample:
-    t: float
-    psi_t: float
-    pi_t: int
-    li_t: float
-    big_pi_t: float
-    r_t: float  # psi(t) - t
-    q_t: float  # Pi(t) - li(t)
-
-
-def remainder_sample(t, table: PrimeTable) -> RemainderSample:
-    """Assemble the classical counting functions and both remainders at t."""
-    psi_t = chebyshev_psi(t, table)
-    li_t = li(t)
-    bp = big_pi(t, table)
-    return RemainderSample(
-        t=float(t),
-        psi_t=psi_t,
-        pi_t=table.pi(t),
-        li_t=li_t,
-        big_pi_t=bp,
-        r_t=psi_t - t,
-        q_t=bp - li_t,
-    )

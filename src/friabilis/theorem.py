@@ -3,9 +3,9 @@
 With y = (log x)^c the ratio Psi/(x rho(u)) behaves differently for
 c in (1,2), c = 1, and c in (0,1).  This module evaluates both sides
 numerically: the measured gap log Psi - log(x rho(u)) from exact counts
-and Dickman's rho, the predicted main term per regime, the two-term and
-three-term expansions of log(x rho(u)) and log Psi, and the oscillation
-quantity S(alpha,y) - I((1-alpha) log y) with its prime-power integral
+and Dickman's rho, the predicted main term per regime, the three-term
+expansion of log(x rho(u)), and the oscillation quantity
+S(alpha,y) - I((1-alpha) log y) with its prime-power integral
 counterparts.  Everything here reports numbers; nothing asserts the
 asymptotic statements themselves.
 """
@@ -110,34 +110,6 @@ def log_x_rho(log_x: float, c: float) -> tuple:
     return exact, expansion
 
 
-def z_bruijn(log_x: float, y: float) -> float:
-    """Z(x,y) = (log x/log y) log(1 + y/log x) + (y/log y) log(1 + log x/y).
-
-    The de Bruijn shape of log Psi(x,y), valid for x >= y >= 3.  At
-    y = log x both terms collapse to (log 2) log x/log_2 x, giving the
-    familiar (log 4) log x/log_2 x.
-    """
-    if not (3.0 <= y and math.log(y) <= log_x < math.inf):
-        raise DomainError(f"z_bruijn needs finite x >= y >= 3, got log_x={log_x}, y={y}")
-    ly = math.log(y)
-    return (log_x / ly) * math.log1p(y / log_x) + (y / ly) * math.log1p(log_x / y)
-
-
-def z_cases(log_x: float, c: float) -> float:
-    """Explicit terms of the case expansion of Z(x,y) at y = (log x)^c, finite log x > 1."""
-    if not 1.0 < log_x < math.inf:
-        raise DomainError(f"z_cases needs finite log_x > 1, got {log_x}")
-    regime = classify_regime(c)
-    l2 = math.log(log_x)
-    if regime == "c_eq_1":
-        return math.log(4.0) * log_x / l2
-    if regime == "c_in_1_2":
-        return ((c - 1.0) / c * log_x
-                + log_x / (c * l2)
-                + log_x ** (2.0 - c) / (2.0 * c * l2))
-    return (1.0 - c) * log_x ** c / c + log_x ** c / (c * l2)
-
-
 def regime_y(log_x: float, c: float) -> float:
     """y = (log x)^c, for log x > 1 so that u = log x / log y is finite."""
     if not log_x > 1.0:
@@ -174,22 +146,17 @@ def regime_record(log_x: float, c: float, table: PrimeTable, *,
     )
 
 
-def oscillation_record(y: float, c: float, table: PrimeTable, *,
-                       alpha=None) -> OscillationRecord:
+def oscillation_record(y: float, c: float, table: PrimeTable) -> OscillationRecord:
     """S(alpha,y) - I((1-alpha) log y), normalized by y^(1/2-alpha) log_3 y/log y.
 
-    alpha defaults to the saddle point of the (x, y) pair with y = (log x)^c,
-    i.e. log x = y^(1/c); pass alpha explicitly to probe a synthetic value
-    in (0, 1], where I((1-alpha) log y) is defined.
+    alpha is the saddle point of the (x, y) pair with y = (log x)^c, i.e.
+    log x = y^(1/c).
     """
     if not (_MIN_OSC_Y < y < math.inf and math.log(math.log(math.log(y))) > 0.0):
         raise DomainError(f"oscillation_record needs finite y > e^e for log_3 y > 0, got {y}")
     if not 1.0 < c < 2.0:
         raise DomainError(f"oscillation regime needs c in (1, 2), got {c}")
-    if alpha is None:
-        alpha = solve_alpha(y ** (1.0 / c), table, y).alpha
-    elif not 0.0 < float(alpha) <= 1.0:
-        raise DomainError(f"oscillation_record needs 0 < alpha <= 1, got {alpha}")
+    alpha = solve_alpha(y ** (1.0 / c), table, y).alpha
     ly = math.log(y)
     terms = np.multiply(table.log_primes[:table.pi(y)], -alpha)
     s_sum = exact_sum(np.exp(terms, out=terms))
@@ -255,7 +222,7 @@ def largest_feasible_log_x(c: float, table: PrimeTable, *,
 
 def q_integral(y: float, alpha: float, table: PrimeTable) -> tuple:
     """(q_part, pi_part): prime-power and prime Stieltjes sums at exponent
-    -alpha, each minus the smooth part int_2^y t^(-alpha) d li(t).
+    -alpha, each minus the smooth part int_2^y t^(-alpha)/log t dt.
 
     q_part = sum_{p^k <= y} (1/k) (p^k)^(-alpha) - smooth
     pi_part = sum_{p <= y} p^(-alpha) - smooth

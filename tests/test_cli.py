@@ -225,6 +225,10 @@ BAD_INPUTS = [
     (["rho", "--export-grid", "--u", "3"], 3),            # the grid or one u, not both
     (["rho", "--export-grid", "--format", "json"], 3),    # the grid has a CSV form only
     (["compare", "--c", "1e-300", "--log-x", "100"], 3),  # y = 100^(1e-300) rounds to 1
+    (["oscillate", "--c", "1.5", "--y-min", "1e3", "--y-max", "1e4",
+      "--y-steps", "1000000000"], 4),                     # refused before the grid is built
+    (["oscillate", "--c", "1.2", "--y-min", "16", "--y-max", "16",
+      "--y-steps", "1" + "0" * 400], 4),                  # named in a few digits
 ]
 
 
@@ -488,14 +492,23 @@ def test_oscillate_bad_grid():
                      "--y-max", "1e4", "--y-steps", "0"]).returncode == 3
 
 
+def test_oscillate_step_cap(capsys):
+    base = ["oscillate", "--c", "1.5", "--y-min", "1e3", "--y-max", "1e4", "--y-steps"]
+    code, out = run_cli(base + [str(cli._MAX_Y_STEPS)], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + cli._MAX_Y_STEPS
+    assert run_cli(base + [str(cli._MAX_Y_STEPS + 1)], capsys) == (4, "")
+
+
 # --- drawn argument vectors ---------------------------------------------------------
 
 _REALS = ["nan", "inf", "-inf", "0", "-0", "-1", "-1e300", "1e-300", "1e300", "1e400",
           "0.9999999999999999", "1", "1.0000000000000002",
           "1.9999999999999998", "2", "2.0000000000000004", "0.5", "1.5", "3", "30", "100"]
 _XS = ["nan", "inf", "-1", "0", "1", "2", "3", "1.5", "100", "1e6", "1e300", "1e400"]
-# oscillate solves once per step and caps no step count, so only small ones are drawn
-_STEPS = ["-1", "0", "1", "2", "3", "1.5", "nan"]
+# oscillate solves once per step, so the counts it runs are small; the huge
+# ones are refused by its step cap before any grid or prime table is built
+_STEPS = ["-1", "0", "1", "2", "3", "1.5", "nan", "1000000000", "1" + "0" * 30]
 # small count caps keep each call to milliseconds
 _CAPS = ["nan", "inf", "-1", "0", "1e-300", "1", "2", "100", "1e4"]
 # option -> values, the required options of each subcommand first

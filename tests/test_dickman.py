@@ -24,9 +24,7 @@ from friabilis.dickman import (
     rho,
     rho_asymptotic,
     xi,
-    xi_expansion,
     xi_integral,
-    xi_prime,
 )
 from friabilis.errors import DomainError, RangeError
 from rho_march import march_grid, march_rho
@@ -379,13 +377,13 @@ def test_xi_nan_is_a_domain_error():
 
 
 def test_xi_prime_matches_finite_differences():
-    assert xi_prime(1.0) == 2.0
+    assert xi(1.0).slope == 2.0
     for u in (1.5, 2.0, 10.0, 100.0):
         d = 1e-6 * u
         fd = (xi(u + d).xi - xi(u - d).xi) / (2.0 * d)
-        assert xi_prime(u) == pytest.approx(fd, rel=1e-6)
+        assert xi(u).slope == pytest.approx(fd, rel=1e-6)
     # u*xi'(u) decreases toward 1 from above
-    vals = [u * xi_prime(u) for u in (2.0, 5.0, 20.0, 100.0, 1000.0)]
+    vals = [u * xi(u).slope for u in (2.0, 5.0, 20.0, 100.0, 1000.0)]
     assert all(a > b > 1.0 for a, b in zip(vals, vals[1:]))
 
 
@@ -402,33 +400,12 @@ def test_xi_prime_against_mpmath():
             return float(abs(got - want) / want)
 
     for d in (1e-12, 1e-9, 1e-6, 1e-4):
-        assert rel_err(xi_prime(1.0 + d), 1.0 + d) <= 1e-15, d
+        assert rel_err(xi(1.0 + d).slope, 1.0 + d) <= 1e-15, d
     for d in (1e-3, 0.1, 1.0, 10.0, 1e3):
         u = 1.0 + d
         x = xi(u).xi
         rounded_first = x / (1.0 + u * x - u)
-        assert rel_err(xi_prime(u), u) <= rel_err(rounded_first, u), d
-
-
-def test_xi_expansion_values():
-    u = math.exp(math.e)
-    assert xi_expansion(u) == pytest.approx(math.e + 1.0 + 1.0 / math.e, rel=1e-12)
-    assert xi_expansion(100.0) == pytest.approx(6.46397, abs=1e-5)
-    with pytest.raises(DomainError):
-        xi_expansion(9.9)
-
-
-@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, math.nextafter(10.0, 0.0)])
-def test_xi_expansion_bad_input_is_a_domain_error(u):
-    with pytest.raises(DomainError, match="^xi_expansion needs"):
-        xi_expansion(u)
-
-
-def test_xi_expansion_error_band():
-    for u in (1e3, 1e4, 1e6):
-        l, ll = math.log(u), math.log(math.log(u))
-        coef = 1.0 if u < 1e4 else 0.5
-        assert abs(xi(u).xi - xi_expansion(u)) <= coef * (ll / l) ** 2
+        assert rel_err(xi(u).slope, u) <= rel_err(rounded_first, u), d
 
 
 # --- I(s) and xi_integral ----------------------------------------------------------

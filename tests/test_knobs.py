@@ -18,7 +18,6 @@ KNOBS = {
     ("psi_exact", "psi_enumerate", "max_count"),
     ("theorem", "regime_record", "x_exact"),
     ("theorem", "regime_record", "max_count"),
-    ("theorem", "oscillation_record", "alpha"),
     ("theorem", "largest_feasible_log_x", "max_count"),
 }
 

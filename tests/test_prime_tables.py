@@ -4,21 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from friabilis.errors import DomainError, RangeError, ResourceError
 from friabilis.prime_tables import (
-    LI2,
     _BLOCK,
     _FSUM_BELOW,
     _SEGMENT,
     _exact_parts,
     _iroot,
-    big_pi,
-    chebyshev_psi,
     exact_sum,
-    li,
-    remainder_sample,
     sieve_primes,
 )
 
@@ -59,32 +53,6 @@ def mr_is_prime(n):
         else:
             return False
     return True
-
-
-def lambda_table(limit):
-    """Von Mangoldt values Lambda(n) for n <= limit, by direct prime powers."""
-    lam = np.zeros(limit + 1)
-    for p in trial_division_primes(limit):
-        pk = p
-        while pk <= limit:
-            lam[pk] = math.log(p)
-            pk *= p
-    return lam
-
-
-def li_series(t):
-    """Independent li oracle: li(t) = Ei(log t) via the everywhere-convergent series."""
-    x = math.log(t)
-    gamma = 0.57721566490153286060651209008240243104
-    term = 1.0
-    terms = [gamma, math.log(x)]
-    for k in range(1, 200):
-        term *= x / k
-        piece = term / k
-        terms.append(piece)
-        if piece < 1e-18 * abs(sum(terms)):
-            break
-    return math.fsum(terms)
 
 
 # --- fixtures ---------------------------------------------------------------
@@ -169,100 +137,16 @@ def test_sieve_domain_errors():
         sieve_primes(10**400)
 
 
-# --- chebyshev psi -----------------------------------------------------------
-
-
-def test_psi_10(table_1e6):
-    expected = 3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7)
-    assert chebyshev_psi(10, table_1e6) == pytest.approx(expected, abs=1e-12)
-
-
-def test_psi_100(table_1e6):
-    assert chebyshev_psi(100, table_1e6) == pytest.approx(94.0453112293, abs=1e-8)
-
-
-def test_psi_against_lambda_sums(table_1e6):
-    limit = 10**5
-    lam = lambda_table(limit)
-    # running Kahan cumulative as the oracle, checked at every integer t
-    s = 0.0
-    c = 0.0
-    for t in range(2, limit + 1):
-        y = lam[t] - c
-        tt = s + y
-        c = (tt - s) - y
-        s = tt
-        if t % 977 == 0 or t < 50:
-            assert chebyshev_psi(t, table_1e6) == pytest.approx(s, abs=1e-8)
-    # and spot-check the endpoint with exact fsum
-    assert chebyshev_psi(limit, table_1e6) == pytest.approx(math.fsum(lam), abs=1e-8)
-
-
-def test_psi_real_argument(table_1e6):
-    # psi is a step function; a real t lands on the previous step
-    assert chebyshev_psi(10.9, table_1e6) == chebyshev_psi(10, table_1e6)
-
-
-def test_psi_range_error(table_1e6):
-    with pytest.raises(RangeError):
-        chebyshev_psi(10**7, table_1e6)
+def test_pi_range_error(table_1e6):
     # a t that is not finite or lies past the table is refused before flooring
     for t in (math.nan, math.inf, -math.inf, 10**6 + 1, 10**400):
         with pytest.raises(RangeError):
             table_1e6.pi(t)
-        for f in (chebyshev_psi, big_pi):
-            with pytest.raises(DomainError):
-                f(t, table_1e6)
     # floor(t) <= limit is all the table needs
     assert table_1e6.pi(10**6 + 0.5) == table_1e6.pi(10**6) == 78498
 
 
-# --- li -----------------------------------------------------------------------
-
-
-def test_li_at_2():
-    assert li(2) == LI2
-    assert LI2 == pytest.approx(1.045163780117492784844588889194, abs=1e-15)
-
-
-def test_li_10():
-    assert li(10) == pytest.approx(6.1655995047872979, rel=1e-10)
-
-
-def test_li_against_series():
-    for t in (2.0, 3.5, 10.0, 100.0, 1e4, 1e6, 1e8):
-        assert li(t) == pytest.approx(li_series(t), rel=1e-10)
-
-
-def test_li_against_quadrature():
-    # principal value: li(2) plus the smooth integral of 1/log v over [2, t]
-    for t in (2.0, 2.5, 10.0, 1e3, 1e6, 1e9):
-        qv, _ = quad(lambda v: 1.0 / math.log(v), 2.0, t, epsabs=0, epsrel=1e-13, limit=500)
-        assert li(t) == pytest.approx(LI2 + qv, rel=1e-12)
-
-
-def test_li_increasing_and_pnt_band():
-    prev = li(100)
-    for t in np.geomspace(100, 1e8, 25)[1:]:
-        cur = li(float(t))
-        assert cur > prev
-        prev = cur
-        ratio = cur / (t / math.log(t))
-        assert 1.0 < ratio < 1.5
-
-
-def test_li_domain():
-    with pytest.raises(DomainError):
-        li(1.5)
-
-
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, math.nextafter(2.0, 0.0)])
-def test_li_bad_input_is_a_domain_error(t):
-    with pytest.raises(DomainError, match="^li needs"):
-        li(t)
-
-
-# --- big_pi --------------------------------------------------------------------
+# --- root counts ------------------------------------------------------------------
 
 
 def test_iroot_exact():
@@ -272,53 +156,13 @@ def test_iroot_exact():
             assert r**k <= n < (r + 1) ** k
 
 
-def test_big_pi_values(table_1e6):
-    assert big_pi(3, table_1e6) == 2.0
-    assert big_pi(4, table_1e6) == 2.5
-    assert big_pi(10, table_1e6) == pytest.approx(16 / 3, abs=1e-14)
+def test_root_counts(table_1e6):
     # 64 = 2^6: every root of it that is >= 2 is counted, the 6th exactly
     assert table_1e6.root_counts(64) == [18, 4, 2, 1, 1, 1]
-
-
-def test_big_pi_via_prime_powers(table_1e6):
-    # independent route: direct sum of 1/k over prime powers
-    for t in (10, 100, 5000):
-        acc = []
-        for p in trial_division_primes(t):
-            pk, k = p, 1
-            while pk <= t:
-                acc.append(1.0 / k)
-                pk *= p
-                k += 1
-        assert big_pi(t, table_1e6) == pytest.approx(math.fsum(acc), abs=1e-12)
-
-
-def test_big_pi_sandwich(table_1e6):
-    # 0 <= Pi(t) - pi(t) <= 2 sqrt(t)/log 2 for t in range
-    for t in (4, 10, 1000, 10**6):
-        gap = big_pi(t, table_1e6) - table_1e6.pi(t)
-        assert 0.0 <= gap <= 2 * math.sqrt(t) / math.log(2)
-
-
-# --- remainders -----------------------------------------------------------------
-
-
-def test_remainder_sample_10(table_1e6):
-    rs = remainder_sample(10, table_1e6)
-    assert rs.pi_t == 4
-    assert rs.r_t == pytest.approx(chebyshev_psi(10, table_1e6) - 10, abs=0)
-    assert rs.q_t == pytest.approx(16 / 3 - 6.1655995047872979, abs=1e-9)
-
-
-def test_remainder_sample_2(table_1e6):
-    rs = remainder_sample(2, table_1e6)
-    assert rs.r_t == pytest.approx(math.log(2) - 2, abs=1e-14)
-    assert rs.q_t == pytest.approx(1.0 - LI2, abs=1e-14)
-
-
-def test_remainder_sample_100(table_1e6):
-    rs = remainder_sample(100, table_1e6)
-    assert rs.r_t == pytest.approx(-5.9546887706, abs=1e-8)
+    # the counts are step functions; a real t lands on the step below it
+    assert table_1e6.root_counts(64.9) == table_1e6.root_counts(64)
+    assert table_1e6.root_counts(63.9) == table_1e6.root_counts(63) == [18, 4, 2, 1, 1]
+    assert table_1e6.root_counts(10.9) == table_1e6.root_counts(10) == [4, 2, 1]
 
 
 # --- exact_sum ---------------------------------------------------------------
@@ -518,13 +362,3 @@ def test_exact_sum_one_sign_blocks(table_1e6):
     for terms in (np.exp(-0.7 * lp), -np.log1p(-np.exp(-0.7 * lp)), lp / np.expm1(0.7 * lp)):
         assert len(_exact_parts(terms)) == 2 * blocks
         _same_as_fsum(terms)
-
-
-def test_chebyshev_psi_against_one_array_sum(table_1e6):
-    # the slices' parts joined in one math.fsum round as one exact_sum over
-    # the concatenated slices does, bit for bit
-    rng = np.random.default_rng(13)
-    lp = table_1e6.log_primes
-    for t in [2, 3, 4, 1000, 4096, 10**6] + rng.uniform(2.0, 1e6, 40).tolist():
-        want = exact_sum(np.concatenate([lp[:c] for c in table_1e6.root_counts(t)]))
-        assert chebyshev_psi(t, table_1e6).hex() == want.hex(), t
