@@ -41,6 +41,8 @@ from .saddle import (
 )
 from .prime_tables import (
     PrimeTable,
+    big_pi,
+    chebyshev_psi,
     sieve_primes,
 )
 from .theorem import (

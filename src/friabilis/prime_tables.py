@@ -2,9 +2,11 @@
 
 A PrimeTable holds every prime up to a limit as an int64 array together
 with float64 log-primes, and counts pi(t) and pi(t^{1/k}) at the exact
-integer roots of t.  exact_sum gives math.fsum's correctly rounded value
-of a float array without a Python list, by error-free extraction in a few
-numpy passes; every prime sum of the package goes through it.
+integer roots of t.  On those counts: Chebyshev psi(t) and the weighted
+prime-power count Pi(t) = sum pi(t^{1/k})/k.  exact_sum gives math.fsum's
+correctly rounded value of a float array without a Python list, by
+error-free extraction in a few numpy passes; every prime sum of the
+package goes through it.
 gauss_prefix compresses a prefix of the log-primes by Gauss rules, for
 the alpha solver's first Newton run.
 
@@ -251,6 +253,19 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes, log_primes=np.log(primes.astype(np.float64)))
 
 
+def chebyshev_psi(t, table: PrimeTable) -> float:
+    """Chebyshev psi(t) = sum of log p over prime powers p^k <= t.
+
+    Each p with p^k <= t adds its log once per k, so the terms are the
+    log-prime slices that table.root_counts(t) delimits; one math.fsum over
+    the exact parts of every slice rounds the total once.
+    """
+    if t < 2:
+        raise DomainError(f"chebyshev_psi needs t >= 2, got {t}")
+    lp = table.log_primes
+    return math.fsum(part for c in table.root_counts(t) for part in _exact_parts(lp[:c]))
+
+
 def _iroot(n: int, k: int) -> int:
     """Exact floor(n**(1/k)) for integers n >= 0, k >= 1."""
     if n < 0 or k < 1:
@@ -263,3 +278,14 @@ def _iroot(n: int, k: int) -> int:
     while (r + 1) ** k <= n:
         r += 1
     return r
+
+
+def big_pi(t, table: PrimeTable) -> float:
+    """Riemann's weighted prime-power count Pi(t) = sum_{k>=1} pi(t^{1/k}) / k.
+
+    Equivalent to summing 1/k over prime powers p^k <= t; the counts are
+    table.root_counts(t), whose roots are exact.
+    """
+    if t < 2:
+        raise DomainError(f"big_pi needs t >= 2, got {t}")
+    return math.fsum(c / k for k, c in enumerate(table.root_counts(t), start=1))

@@ -12,6 +12,8 @@ from friabilis.prime_tables import (
     _SEGMENT,
     _exact_parts,
     _iroot,
+    big_pi,
+    chebyshev_psi,
     exact_sum,
     sieve_primes,
 )
@@ -53,6 +55,17 @@ def mr_is_prime(n):
         else:
             return False
     return True
+
+
+def lambda_table(limit):
+    """Von Mangoldt values Lambda(n) for n <= limit, by direct prime powers."""
+    lam = np.zeros(limit + 1)
+    for p in trial_division_primes(limit):
+        pk = p
+        while pk <= limit:
+            lam[pk] = math.log(p)
+            pk *= p
+    return lam
 
 
 # --- fixtures ---------------------------------------------------------------
@@ -137,16 +150,55 @@ def test_sieve_domain_errors():
         sieve_primes(10**400)
 
 
-def test_pi_range_error(table_1e6):
+# --- chebyshev psi -----------------------------------------------------------
+
+
+def test_psi_10(table_1e6):
+    expected = 3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7)
+    assert chebyshev_psi(10, table_1e6) == pytest.approx(expected, abs=1e-12)
+
+
+def test_psi_100(table_1e6):
+    assert chebyshev_psi(100, table_1e6) == pytest.approx(94.0453112293, abs=1e-8)
+
+
+def test_psi_against_lambda_sums(table_1e6):
+    limit = 10**5
+    lam = lambda_table(limit)
+    # running Kahan cumulative as the oracle, checked at every integer t
+    s = 0.0
+    c = 0.0
+    for t in range(2, limit + 1):
+        y = lam[t] - c
+        tt = s + y
+        c = (tt - s) - y
+        s = tt
+        if t % 977 == 0 or t < 50:
+            assert chebyshev_psi(t, table_1e6) == pytest.approx(s, abs=1e-8)
+    # and spot-check the endpoint with exact fsum
+    assert chebyshev_psi(limit, table_1e6) == pytest.approx(math.fsum(lam), abs=1e-8)
+
+
+def test_psi_real_argument(table_1e6):
+    # psi is a step function; a real t lands on the previous step
+    assert chebyshev_psi(10.9, table_1e6) == chebyshev_psi(10, table_1e6)
+
+
+def test_psi_range_error(table_1e6):
+    with pytest.raises(RangeError):
+        chebyshev_psi(10**7, table_1e6)
     # a t that is not finite or lies past the table is refused before flooring
     for t in (math.nan, math.inf, -math.inf, 10**6 + 1, 10**400):
         with pytest.raises(RangeError):
             table_1e6.pi(t)
+        for f in (chebyshev_psi, big_pi):
+            with pytest.raises(DomainError):
+                f(t, table_1e6)
     # floor(t) <= limit is all the table needs
     assert table_1e6.pi(10**6 + 0.5) == table_1e6.pi(10**6) == 78498
 
 
-# --- root counts ------------------------------------------------------------------
+# --- big_pi --------------------------------------------------------------------
 
 
 def test_iroot_exact():
@@ -156,9 +208,35 @@ def test_iroot_exact():
             assert r**k <= n < (r + 1) ** k
 
 
-def test_root_counts(table_1e6):
+def test_big_pi_values(table_1e6):
+    assert big_pi(3, table_1e6) == 2.0
+    assert big_pi(4, table_1e6) == 2.5
+    assert big_pi(10, table_1e6) == pytest.approx(16 / 3, abs=1e-14)
     # 64 = 2^6: every root of it that is >= 2 is counted, the 6th exactly
     assert table_1e6.root_counts(64) == [18, 4, 2, 1, 1, 1]
+
+
+def test_big_pi_via_prime_powers(table_1e6):
+    # independent route: direct sum of 1/k over prime powers
+    for t in (10, 100, 5000):
+        acc = []
+        for p in trial_division_primes(t):
+            pk, k = p, 1
+            while pk <= t:
+                acc.append(1.0 / k)
+                pk *= p
+                k += 1
+        assert big_pi(t, table_1e6) == pytest.approx(math.fsum(acc), abs=1e-12)
+
+
+def test_big_pi_sandwich(table_1e6):
+    # 0 <= Pi(t) - pi(t) <= 2 sqrt(t)/log 2 for t in range
+    for t in (4, 10, 1000, 10**6):
+        gap = big_pi(t, table_1e6) - table_1e6.pi(t)
+        assert 0.0 <= gap <= 2 * math.sqrt(t) / math.log(2)
+
+
+def test_root_counts(table_1e6):
     # the counts are step functions; a real t lands on the step below it
     assert table_1e6.root_counts(64.9) == table_1e6.root_counts(64)
     assert table_1e6.root_counts(63.9) == table_1e6.root_counts(63) == [18, 4, 2, 1, 1]
@@ -362,3 +440,13 @@ def test_exact_sum_one_sign_blocks(table_1e6):
     for terms in (np.exp(-0.7 * lp), -np.log1p(-np.exp(-0.7 * lp)), lp / np.expm1(0.7 * lp)):
         assert len(_exact_parts(terms)) == 2 * blocks
         _same_as_fsum(terms)
+
+
+def test_chebyshev_psi_against_one_array_sum(table_1e6):
+    # the slices' parts joined in one math.fsum round as one exact_sum over
+    # the concatenated slices does, bit for bit
+    rng = np.random.default_rng(13)
+    lp = table_1e6.log_primes
+    for t in [2, 3, 4, 1000, 4096, 10**6] + rng.uniform(2.0, 1e6, 40).tolist():
+        want = exact_sum(np.concatenate([lp[:c] for c in table_1e6.root_counts(t)]))
+        assert chebyshev_psi(t, table_1e6).hex() == want.hex(), t
