@@ -8,7 +8,7 @@ correctly rounded value of a float array without a Python list, by
 error-free extraction in a few numpy passes; every prime sum of the
 package goes through it.
 gauss_prefix compresses a prefix of the log-primes by Gauss rules, for
-the alpha solver's first Newton run.
+the alpha solver's first Newton run and psi_saddle's log zeta.
 
 Code that does exact integer arithmetic on primes takes them as Python
 ints, through ``table.primes[:k].tolist()``: int64 products wrap silently.
@@ -45,7 +45,9 @@ _FSUM_BELOW = 800
 # stands for each later group of _GROUP by a 4-node Gauss rule.  The first
 # group spans 0.25 in log p; over the 1e7 table the weighted sums of
 # x/(e^(a x) - 1) and of its slope match the plain ones to 2.1e-16 relative
-# for 1e-8 <= a <= 3, past the largest alpha (1.88, at log x = log 2).
+# for 1e-8 <= a <= 3, past the largest alpha (1.88, at log x = log 2), and
+# those of -log(1 - e^(-a x)), log zeta(a, y), to 2.2e-16 relative for
+# 1e-17 <= a <= 3 at y from 1.1e5 to 1e7.
 # Below _HEAD + _GROUP = 10,240 primes a full pass is cheap and the solver
 # keeps to the full log-primes.  The rules are built _CHUNK groups at a
 # time, so the work arrays stay near 128 KiB.
@@ -68,10 +70,17 @@ def exact_sum(arr) -> float:
     prime sum) bounds its next pass by that, with no new max or min: its
     terms are multiples of 2^g, g = max(f - 53, -1074) for the frexp
     exponent f of its smallest |term|, and so is r, so once ulp(sigma) =
-    2^(e+M-52) <= 2^g the pass leaves r = 0 and the block is done; two
-    passes cover a block whose terms span 51 - 2M binades, 19 at 2^15
-    terms.  Any other block takes max and min again after each pass and
-    stops when r is all zero.  The exact pass sums go to math.fsum, which
+    2^(e+M-52) <= 2^g the pass leaves r = 0 and the block is done.  The
+    pass before that one is skipped too.  After a pass, with e' = e+M-52,
+    |r| <= 2^(e'-1); if the next pass's ulp 2^(e'+M-52) is <= 2^g it would
+    return q = r unchanged.  r.sum() is then exact in any order: every r is
+    a multiple of 2^g, so is every partial sum, and each is at most
+    n 2^(e'-1) < 2^(e'+M-1) <= 2^(g+51), which a double holds exactly.  So
+    the block closes with r.sum(), the same bits as that pass, and no
+    extraction; one pass and the closing sum cover a block whose terms
+    span 51 - 2M binades, 19 at 2^15 terms.
+    Any other block takes max and min again after each pass and stops
+    when r is all zero.  The exact pass sums go to math.fsum, which
     rounds their total once.
     Short arrays, non-finite terms and terms of 2^(1022-M) or more (M taken
     from the whole array, so no partial sum can overflow) go to math.fsum
@@ -102,8 +111,9 @@ def _exact_parts(arr) -> list:
         if not (-cap < lo and hi < cap):  # nan fails both
             return v.tolist()
         if lo > 0.0 or hi < 0.0:
-            # one sign, no zero: |r| < 2^e bounds each next pass, and the
-            # pass whose ulp(sigma) reaches 2^g leaves r = 0 (see exact_sum)
+            # one sign, no zero: |r| < 2^e bounds each next pass, the pass
+            # whose ulp(sigma) reaches 2^g leaves r = 0, and r itself is
+            # summed exactly once the next pass would return it (see exact_sum)
             g = max(math.frexp(lo if lo > 0.0 else -hi)[1] - 53, -1074)
             e = math.frexp(max(hi, -lo))[1]
             while True:
@@ -115,6 +125,9 @@ def _exact_parts(arr) -> list:
                 if e <= g:
                     break
                 np.subtract(block, qb, out=rb)
+                if e + m - 52 <= g:
+                    parts.append(float(rb.sum()))
+                    break
                 block = rb
             continue
         while hi != 0.0 or lo != 0.0:
@@ -166,8 +179,9 @@ class PrimeTable:
         The points are the first _HEAD log-primes, the Gauss nodes of every
         full group of _GROUP log-primes above them, and the partial last
         group; the weights are 1, the Gauss weights, and 1.  For the terms
-        x / (e^(a x) - 1) of the alpha equation, 0 < a <= 3, the weighted sum
-        equals the plain one to rounding.  None when k < _HEAD + _GROUP, where
+        x / (e^(a x) - 1) of the alpha equation and -log(1 - e^(-a x)) of
+        log zeta, 0 < a <= 3, the weighted sum equals the plain one to
+        rounding.  None when k < _HEAD + _GROUP, where
         there is nothing to compress.
         """
         m = (k - _HEAD) // _GROUP

@@ -442,6 +442,35 @@ def test_exact_sum_one_sign_blocks(table_1e6):
         _same_as_fsum(terms)
 
 
+def test_exact_sum_closing_pass(monkeypatch):
+    # a one-signed block closes with r.sum() instead of the pass that would
+    # return r: after one extraction when its terms sit exactly 51 - 2M
+    # binades apart (the next pass's ulp 2^(e'+M-52) is the granule 2^g),
+    # after two at one binade more; bit for bit math.fsum's value either way
+    rng = np.random.default_rng(28)
+    odd = 1.0 + 2.0**-52
+    adds = []
+    add = np.add
+
+    def counting(*args, **kwargs):
+        adds.append(1)
+        return add(*args, **kwargs)
+
+    monkeypatch.setattr(np, "add", counting)
+    for n in (2000, _BLOCK):
+        span = 51 - 2 * (n + 2).bit_length()
+        for past, extractions in ((0, 1), (1, 2)):
+            # frexp exponents 1 of the top term and 1 - span - past of the bottom one
+            bottom = odd * 2.0 ** -(span + past)
+            for sign in (1.0, -1.0):
+                v = sign * _one_block(rng, n, 1.5, bottom)
+                adds.clear()
+                parts = _exact_parts(v)
+                assert (len(adds), len(parts)) == (extractions, extractions + 1), (n, past)
+                _same_as_fsum(v)
+                _parts_are_exact(v)
+
+
 def test_chebyshev_psi_against_one_array_sum(table_1e6):
     # the slices' parts joined in one math.fsum round as one exact_sum over
     # the concatenated slices does, bit for bit

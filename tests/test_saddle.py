@@ -11,6 +11,7 @@ import gc
 import math
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from alpha_newton import alpha_newton
@@ -67,6 +68,20 @@ def _count_expm1(monkeypatch):
 
     monkeypatch.setattr(np, "expm1", counting)
     return calls
+
+
+def zeta_terms(s, lp):
+    # -log(1 - p^-s), split at s log p = log 2 as zeta_partial splits it:
+    # z/2 - log(2 sinh(z/2)) at and below, -log1p(-e^(-z)) above
+    z = s * lp
+    return np.where(lp <= math.log(2.0) / s, 0.5 * z - np.log(2.0 * np.sinh(0.5 * z)),
+                    -np.log1p(-np.exp(-z)))
+
+
+@mpmath.workdps(40)
+def mp_zeta_terms(s, primes):
+    return [float(-mpmath.log(-mpmath.expm1(-mpmath.mpf(s) * mpmath.log(int(p)))))
+            for p in primes]
 
 
 # --- solve_alpha -------------------------------------------------------------------
@@ -395,6 +410,39 @@ def test_residual_summed_on_first_read_only(table, monkeypatch):
         sums.clear()
 
 
+def test_log_zeta_compressed_against_zeta_partial(table_1e7):
+    # psi_saddle's log zeta over the compressed points against the
+    # correctly rounded full sum, at the solved alpha (measured 2.1e-16)
+    for y in (2e5, 1e6, 1e7):
+        assert table_1e7.gauss_prefix(table_1e7.pi(y)) is not None
+        for u in (2.0, 13.0, 89.0, 1e3, 1e6):
+            a = solve_alpha(u * math.log(y), table_1e7, y).alpha
+            want = zeta_partial(a, table_1e7, y)
+            assert abs(saddle._log_zeta(a, table_1e7, y) - want) <= 4.4e-16 * want, (y, u)
+
+
+def test_psi_saddle_sums_no_full_zeta(table_1e7, monkeypatch):
+    # right after solve_alpha at y = 1e7 psi_saddle takes log zeta from the
+    # compressed points: its np.log1p calls together are no longer than
+    # they are, where the full sum's one call is over the primes above
+    # 2^(1/alpha), nearly all pi(y)
+    lengths = []
+    log1p = np.log1p
+
+    def counting(x, *args, **kwargs):
+        lengths.append(len(x))
+        return log1p(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log1p", counting)
+    y = 1e7
+    points = len(table_1e7.gauss_prefix(table_1e7.pi(y))[0])
+    for log_x in _cells_1e7():
+        solve_alpha(log_x, table_1e7, y)
+        lengths.clear()
+        psi_saddle(log_x, table_1e7, y)
+        assert 0 < sum(lengths) <= points, (log_x, lengths)
+
+
 def test_residual_is_fsum_at_1e7(table_1e7):
     # the residual read on demand is math.fsum of the allocating term list
     # minus log_x, bit for bit, on the 664,579 primes up to 1e7
@@ -450,10 +498,37 @@ def test_zeta_partial_examples(table):
     # (1-1/4)(1-1/9)(1-1/25)(1-1/49) inverted = 1225/768
     assert zeta_partial(2.0, table, 10.0) == pytest.approx(math.log(1225.0 / 768.0), rel=1e-14)
     for s in (0.5, 1.0, 2.0):
-        assert zeta_partial(s, table, 2.0) == -math.log1p(-(2.0**-s))
+        assert zeta_partial(s, table, 2.0) == zeta_terms(s, table.log_primes[:1])[0]
     for s in (0.0, math.nan):
         with pytest.raises(DomainError):
             zeta_partial(s, table, 10.0)
+
+
+def test_zeta_partial_against_mpmath(table):
+    # both sides of the split at s log p = log 2 are correct to rounding,
+    # term by term, down to s = 1e-15, where 1 - p^-s cancels to p^-s
+    # next to 1; the old -log1p(-p^-s) was 7.7e-10 off at s = 1e-10
+    primes = table.primes[:table.pi(1e4)]
+    lp = table.log_primes[:len(primes)]
+    for s in (1e-15, 1e-10, 1e-4, 0.5, 2.0):
+        want = np.array(mp_zeta_terms(s, primes))
+        got = saddle._zeta_terms(lp, s)
+        assert np.max(np.abs(got - want) / want) <= 1e-14, s
+        assert zeta_partial(s, table, 1e4) == pytest.approx(math.fsum(want), rel=1e-14)
+
+
+def test_psi_saddle_at_tiny_alpha():
+    # log x = 2.5e16 and 2.5e18 at y = 100 put alpha near 1e-15 and 1e-17;
+    # there the old terms read 0.13 low and inf
+    small = sieve_primes(1000)
+    y = 100.0
+    primes = small.primes[:small.pi(y)]
+    for log_x in (2.5e16, 2.5e18):
+        st = solve_alpha(log_x, small, y)
+        want = (st.alpha * log_x + math.fsum(mp_zeta_terms(st.alpha, primes))
+                - math.log(st.alpha) - math.log(math.log(y))
+                - 0.5 * math.log(2.0 * math.pi * st.u))
+        assert psi_saddle(log_x, small, y) == pytest.approx(want, rel=1e-14), log_x
 
 
 def test_zeta_lower_bound_sweep(table):
@@ -486,7 +561,7 @@ def test_prime_sums_are_fsum_of_their_terms(table):
     grid += [(10.0 ** rng.uniform(0.31, 6.0), rng.uniform(0.05, 3.0)) for _ in range(12)]
     for y, s in grid:
         lp = table.log_primes[:table.pi(y)]
-        assert zeta_partial(s, table, y) == math.fsum((-np.log1p(-np.exp(-s * lp))).tolist())
+        assert zeta_partial(s, table, y) == math.fsum(zeta_terms(s, lp).tolist())
         assert prime_power_sums(s, table, y) == (math.fsum(np.exp(-s * lp).tolist()),
                                                  math.fsum(np.exp(-2.0 * s * lp).tolist()))
         # s as u: the residual that solve_alpha sums in its Newton buffer
