@@ -412,7 +412,7 @@ def test_residual_summed_on_first_read_only(table, monkeypatch):
 
 def test_log_zeta_compressed_against_zeta_partial(table_1e7):
     # psi_saddle's log zeta over the compressed points against the
-    # correctly rounded full sum, at the solved alpha (measured 2.1e-16)
+    # correctly rounded full sum, at the solved alpha (measured 2.0e-16)
     for y in (2e5, 1e6, 1e7):
         assert table_1e7.gauss_prefix(table_1e7.pi(y)) is not None
         for u in (2.0, 13.0, 89.0, 1e3, 1e6):
@@ -423,8 +423,8 @@ def test_log_zeta_compressed_against_zeta_partial(table_1e7):
 
 def test_psi_saddle_sums_no_full_zeta(table_1e7, monkeypatch):
     # right after solve_alpha at y = 1e7 psi_saddle takes log zeta from the
-    # compressed points: its np.log1p calls together are no longer than
-    # they are, where the full sum's one call is over the primes above
+    # compressed points: its np.log1p calls together cover no more than
+    # those, where the full sum's one call covers the primes above
     # 2^(1/alpha), nearly all pi(y)
     lengths = []
     log1p = np.log1p
@@ -506,8 +506,8 @@ def test_zeta_partial_examples(table):
 
 def test_zeta_partial_against_mpmath(table):
     # both sides of the split at s log p = log 2 are correct to rounding,
-    # term by term, down to s = 1e-15, where 1 - p^-s cancels to p^-s
-    # next to 1; the old -log1p(-p^-s) was 7.7e-10 off at s = 1e-10
+    # term by term, down to s = 1e-15, where p^-s rounds next to 1; the old
+    # -log1p(-p^-s) was 7.7e-10 off at s = 1e-10
     primes = table.primes[:table.pi(1e4)]
     lp = table.log_primes[:len(primes)]
     for s in (1e-15, 1e-10, 1e-4, 0.5, 2.0):
