@@ -42,9 +42,9 @@ from .theorem import (
 # int(Decimal) took about 57 s at 10^(10^6)
 _MAX_X_DIGITS = 100_000
 # most points of an oscillate grid: each point solves alpha and sums over the
-# primes up to y, about 6 ms a point near y = 1e7 at c = 1.5, 3 ms of it the
-# solve; the first point also builds the table's Gauss rules, 22 ms in all
-# (one core of a 2-vCPU VM)
+# primes up to y, about 3.3 ms a point near y = 1e7 at c = 1.5, 0.4 ms of it
+# the solve; the first point also builds the table's Gauss rules, 21 ms in
+# all (one core of a 2-vCPU VM)
 _MAX_Y_STEPS = 1_000
 
 

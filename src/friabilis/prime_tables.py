@@ -8,7 +8,7 @@ correctly rounded value of a float array without a Python list, by
 error-free extraction in a few numpy passes; every prime sum of the
 package goes through it.
 gauss_prefix compresses a prefix of the log-primes by Gauss rules, for
-the alpha solver's first Newton run and psi_saddle's log zeta.
+the alpha solver's Newton run and psi_saddle's log zeta.
 
 Code that does exact integer arithmetic on primes takes them as Python
 ints, through ``table.primes[:k].tolist()``: int64 products wrap silently.
@@ -47,7 +47,11 @@ _FSUM_BELOW = 800
 # x/(e^(a x) - 1) and of its slope match the plain ones to 2.1e-16 relative
 # for 1e-8 <= a <= 3, past the largest alpha (1.88, at log x = log 2), and
 # those of -log(1 - e^(-a x)), log zeta(a, y), to 2.2e-16 relative for
-# 1e-17 <= a <= 3 at y from 1.1e5 to 1e7.
+# 1e-17 <= a <= 3 at y from 1.1e5 to 1e7.  The alpha that Newton solves on
+# the compressed points alone leaves a full-table residual, the correctly
+# rounded SaddleState.solver_residual, of at most 7.9e-16 log x on 45 cells
+# (y from 1.1e5 to 1e7, u from 0.5 to 1e6 and log x = y^(1/c) for c from
+# 1.2 to 1.8); the tests hold it at 1e-15 log x.
 # Below _HEAD + _GROUP = 10,240 primes a full pass is cheap and the solver
 # keeps to the full log-primes.  The rules are built _CHUNK groups at a
 # time, so the work arrays stay near 128 KiB.
@@ -66,11 +70,13 @@ def exact_sum(arr) -> float:
     2^(e+M); q = (sigma + r) - sigma and r - q are exact, every q is a
     multiple of 2^(e+M-53) and |sum q| < sigma, so q.sum() is exact in any
     order.  Each pass takes about 53 - M bits off r and leaves
-    |r| <= ulp(sigma)/2 < 2^(e+M-52).  A block of one sign and no zero (every
-    prime sum) bounds its next pass by that, with no new max or min: its
-    terms are multiples of 2^g, g = max(f - 53, -1074) for the frexp
-    exponent f of its smallest |term|, and so is r, so once ulp(sigma) =
-    2^(e+M-52) <= 2^g the pass leaves r = 0 and the block is done.  The
+    |r| <= ulp(sigma)/2 < 2^(e+M-52), whatever the signs, so a block bounds
+    its next pass by that, with no new max or min.  Its terms are
+    multiples of 2^g, g = max(f - 53, -1074) for the frexp exponent f of
+    its smallest nonzero |term| (taken from max and min when the block has
+    one sign and no zero, as every prime sum, and from np.abs otherwise),
+    and so is r, so once ulp(sigma) = 2^(e+M-52) <= 2^g the pass leaves
+    r = 0 and the block is done; an all-zero block adds nothing.  The
     pass before that one is skipped too.  After a pass, with e' = e+M-52,
     |r| <= 2^(e'-1); if the next pass's ulp 2^(e'+M-52) is <= 2^g it would
     return q = r unchanged.  r.sum() is then exact in any order: every r is
@@ -78,10 +84,8 @@ def exact_sum(arr) -> float:
     n 2^(e'-1) < 2^(e'+M-1) <= 2^(g+51), which a double holds exactly.  So
     the block closes with r.sum(), the same bits as that pass, and no
     extraction; one pass and the closing sum cover a block whose terms
-    span 51 - 2M binades, 19 at 2^15 terms.
-    Any other block takes max and min again after each pass and stops
-    when r is all zero.  The exact pass sums go to math.fsum, which
-    rounds their total once.
+    span 51 - 2M binades, 19 at 2^15 terms.  The exact pass sums go to
+    math.fsum, which rounds their total once.
     Short arrays, non-finite terms and terms of 2^(1022-M) or more (M taken
     from the whole array, so no partial sum can overflow) go to math.fsum
     itself, so the value or error is the one it gives.
@@ -111,33 +115,30 @@ def _exact_parts(arr) -> list:
         if not (-cap < lo and hi < cap):  # nan fails both
             return v.tolist()
         if lo > 0.0 or hi < 0.0:
-            # one sign, no zero: |r| < 2^e bounds each next pass, the pass
-            # whose ulp(sigma) reaches 2^g leaves r = 0, and r itself is
-            # summed exactly once the next pass would return it (see exact_sum)
-            g = max(math.frexp(lo if lo > 0.0 else -hi)[1] - 53, -1074)
-            e = math.frexp(max(hi, -lo))[1]
-            while True:
-                sigma = math.ldexp(1.0, e + m)
-                np.add(block, sigma, out=qb)
-                qb -= sigma
-                parts.append(float(qb.sum()))
-                e += m - 52
-                if e <= g:
-                    break
-                np.subtract(block, qb, out=rb)
-                if e + m - 52 <= g:
-                    parts.append(float(rb.sum()))
-                    break
-                block = rb
-            continue
-        while hi != 0.0 or lo != 0.0:
-            sigma = math.ldexp(1.0, math.frexp(max(hi, -lo))[1] + m)
+            tiny = lo if lo > 0.0 else -hi
+        else:
+            np.abs(block, out=rb)
+            tiny = float(rb.min(where=rb != 0.0, initial=math.inf))
+            if tiny == math.inf:  # all zero
+                continue
+        # |r| < 2^e bounds each next pass, the pass whose ulp(sigma) reaches
+        # the granule 2^g leaves r = 0, and r itself is summed exactly once
+        # the next pass would return it (see exact_sum)
+        g = max(math.frexp(tiny)[1] - 53, -1074)
+        e = math.frexp(max(hi, -lo))[1]
+        while True:
+            sigma = math.ldexp(1.0, e + m)
             np.add(block, sigma, out=qb)
             qb -= sigma
-            np.subtract(block, qb, out=rb)
             parts.append(float(qb.sum()))
+            e += m - 52
+            if e <= g:
+                break
+            np.subtract(block, qb, out=rb)
+            if e + m - 52 <= g:
+                parts.append(float(rb.sum()))
+                break
             block = rb
-            hi, lo = float(block.max()), float(block.min())
     return parts
 
 

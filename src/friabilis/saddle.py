@@ -1,11 +1,10 @@
 """Saddle-point machinery for Psi(x, y).
 
 The saddle alpha = alpha(x, y) solves sum_{p <= y} log p / (p^alpha - 1) = log x,
-by Newton over the log-primes; where PrimeTable.gauss_prefix compresses
-them, Newton first runs on their Gauss-compressed form, and the full
-log-primes take one pass to confirm alpha; the correctly rounded residual
-is summed only when it is read.  Around it live the partial
-zeta, the sums S and T, the weight w_sigma, the function
+by one Newton run over the log-primes, or over their Gauss-compressed form
+where PrimeTable.gauss_prefix compresses them; the correctly rounded
+residual over every log-prime is summed only when it is read.  Around it
+live the partial zeta, the sums S and T, the weight w_sigma, the function
 f(sigma) = sigma log x + I((1 - sigma) log y) with its stationary point
 beta = 1 - xi(u)/log y, and the saddle approximation to Psi itself, which
 takes its log zeta from the compressed log-primes too.
@@ -34,17 +33,20 @@ class SaddleState:
     alpha: float
     beta: float       # 1 - xi(u)/log y; NaN when u < 1
 
-    # solve_alpha also sets _log_primes, the log-primes p <= y it solved
-    # over: a view of the table's array, not a field, so that asdict, repr
-    # and == leave it out.  solver_residual is not a field either: asdict
-    # leaves it out, and the alpha command appends it as the last column.
+    # solve_alpha also sets _log_primes, every log-prime p <= y, which the
+    # residual sums over: a view of the table's array, not a field, so that
+    # asdict, repr and == leave it out.  solver_residual is not a field
+    # either: asdict leaves it out, and the alpha command appends it as the
+    # last column.
 
     @functools.cached_property
     def solver_residual(self) -> float:
         """sum_{p<=y} log p / (p^alpha - 1) - log_x, its sum correctly rounded.
 
-        Computed on the first read, from the terms of alpha over the
-        log-primes of the solve, and kept; a solve itself never sums them.
+        Computed on the first read, from the terms of alpha over every
+        log-prime p <= y, and kept; a solve itself never sums them, so where
+        the solve ran on the compressed log-primes this is the check that
+        its root solves the full equation.
         """
         t = np.empty_like(self._log_primes)
         with np.errstate(over="ignore"):
@@ -55,10 +57,6 @@ class SaddleState:
 # Newton passes allowed per solve; from the closed form or from beta a solve
 # needs at most about 10
 _MAX_PASSES = 100
-# the run on the compressed log-primes only starts the full one, so it stops
-# once a step is this small: the next, about the square of it, would be lost
-# in rounding, and the full run's first pass takes it
-_START_STEP = 1e-9
 
 # the last solve_alpha result as (weakref to its table, log_x, y, alpha),
 # swapped as one tuple; only psi_saddle reads it, so a caller that has just
@@ -83,18 +81,16 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
     halves it.  The solve stops when the step is at most 1e-15 alpha, or at
     rounding noise: when Newton leaves a bracket closed on both sides, or
     when a step fails to shrink quadratically.
-    Where table.gauss_prefix(pi(y)) returns points, Newton first runs on
+    Newton runs once: where table.gauss_prefix(pi(y)) returns points, on
     them, the log-primes with groups replaced by their Gauss rules, where g
-    is the same to rounding; that run stops at a step of 1e-9, whose square
-    is below rounding.  The full log-primes then take the same Newton from
-    its result: one pass confirms alpha in most solves, two in the rest.
-    On a prefix too short to compress Newton runs on the full log-primes
-    alone: 4 to 8 passes for u >= 1/2, 4 where beta starts it at
-    2 <= u <= 100, up to 10 for u far below 1.  The solve sums no residual:
-    SaddleState.solver_residual takes one more pass over the log-primes and
-    one exact_sum on its first read, so a caller that needs only alpha pays
-    for neither.  Every call solves;
-    the result is also kept as the one-entry memo that psi_saddle reads.
+    is the same to rounding (see prime_tables._HEAD for the bound on the
+    full residual); on a prefix too short to compress, on the full
+    log-primes.  It takes 3 to 8 passes for u >= 1/2, 3 to 5 where beta
+    starts it at 2 <= u <= 100, up to 10 for u far below 1.  The solve
+    sums no residual: SaddleState.solver_residual takes one pass over
+    every log-prime and one exact_sum on its first read, so a caller that
+    needs only alpha pays for neither.  Every call solves; the result is
+    also kept as the one-entry memo that psi_saddle reads.
     A root below alpha = 1e-18 (log_x = 1e300 at y = 100) is out of the
     solver's range and raises RangeError; the floor is checked on the
     result too, since the start can converge straight to such a root.  A u
@@ -120,10 +116,9 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
     a = math.log1p(y / log_x) / log_y
     if beta > a:  # NaN or non-positive beta keeps the closed form
         a = beta
+    points, weights = table.gauss_prefix(k) or (logp, None)
     with np.errstate(over="ignore"):
-        if (prefix := table.gauss_prefix(k)) is not None:
-            a = _newton(*prefix, log_x, y, a, _START_STEP)
-        a = _newton(logp, None, log_x, y, a, 1e-15)
+        a = _newton(points, weights, log_x, y, a)
     if a < 1e-18:
         raise RangeError(f"alpha(x, y) lies below 1e-18 at log_x={log_x}, y={y}")
     _last_solve = (weakref.ref(table), log_x, y, a)
@@ -140,10 +135,11 @@ def _terms(logp, a, t):
     np.divide(logp, t, out=t)
 
 
-def _newton(logp, weights, log_x, y, a, tol):
+def _newton(logp, weights, log_x, y, a):
     """Newton on g(a) = sum w log p / (p^a - 1) - log_x from a, over logp.
 
-    weights None means all 1.  Returns alpha.
+    weights None means all 1.  Stops at a step of 1e-15 alpha or at rounding
+    noise (see solve_alpha).  Returns alpha.
     """
     t = np.empty_like(logp)
     lo, hi = 0.0, math.inf
@@ -171,7 +167,7 @@ def _newton(logp, weights, log_x, y, a, tol):
         a = nxt
         if a > 1e6:
             raise NumericError(f"alpha ran away upward for log_x={log_x}, y={y}")
-        if step <= tol or step > 100.0 * prev * prev:
+        if step <= 1e-15 or step > 100.0 * prev * prev:
             break
         prev = step
     else:

@@ -96,10 +96,10 @@ def log_x_rho(log_x: float, c: float) -> tuple:
 
     and drops the O(log x (log_3 x)^2/(log_2 x)^3) tail.
     """
+    if not 1.0 < log_x < math.inf:
+        raise DomainError(f"log_x_rho needs finite log_x > 1 so log_2 x exists, got {log_x}")
     if not 0.0 < c <= 1.0:
         raise DomainError(f"log_x_rho covers c in (0, 1], got {c}")
-    if log_x <= 1.0:
-        raise DomainError(f"need log_x > 1 so log_2 x exists, got {log_x}")
     l2 = math.log(log_x)
     u = log_x / (c * l2)
     exact = log_x + rho(u)

@@ -1,11 +1,12 @@
 """The saddle point alpha(x, y) by plain Newton over every log-prime: a test oracle.
 
-friabilis.saddle refines its start on Gauss-compressed log-primes; this
-solver does not.  It has the same start (the larger of the closed form and
-beta), the same bracket, clamps, stop rules and pass cap, makes every pass
-over the full prefix of log-primes, and recomputes the terms of the
-returned alpha for the residual.  The module's solver must land within an
-ulp or two of it, and on it bit for bit where it compresses nothing.
+friabilis.saddle runs Newton on the Gauss-compressed log-primes wherever
+PrimeTable.gauss_prefix compresses them; this solver never does.  It has
+the same start (the larger of the closed form and beta), the same
+bracket, clamps, stop rules and pass cap, makes every pass over the full
+prefix of log-primes, and recomputes the terms of the returned alpha for
+the residual.  The module's solver must land within an ulp or two of it
+on the tests' grid, and on it bit for bit where it compresses nothing.
 """
 
 import math

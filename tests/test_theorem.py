@@ -83,6 +83,13 @@ def test_log_x_rho_error_scale():
     assert worst <= 8.0
 
 
+@pytest.mark.parametrize("log_x", [math.nan, math.inf, -math.inf, 1.0])
+def test_log_x_rho_bad_input_is_a_domain_error(log_x):
+    for c in (0.5, 1.0):
+        with pytest.raises(DomainError, match="^log_x_rho needs"):
+            th.log_x_rho(log_x, c)
+
+
 def test_log_x_rho_domain():
     with pytest.raises(DomainError):
         th.log_x_rho(30.0, 1.2)
