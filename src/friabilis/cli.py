@@ -2,10 +2,10 @@
 
 Subcommands: primes, rho, xi, alpha, psi, compare, oscillate.  Scalar
 queries print a single value; every command also emits its rows as CSV
-(the default of compare and oscillate) or JSON.  JSON output is one
-object {"meta": {...}, "rows": [...]} where meta echoes the resolved
-configuration.  Identical invocations produce
-byte-identical output: no randomness, no timestamps, repr-stable floats.
+(the default of compare and oscillate) or JSON.  CSV rows are written as
+they are made; JSON is one object {"meta": {...}, "rows": [...]}, built
+whole, where meta echoes the resolved configuration.  Identical invocations
+produce byte-identical output: no randomness, no timestamps, repr-stable floats.
 
 Exit codes: 0 success, 2 usage (including a float option given as nan
 or inf), 3 domain/range error (including an --output path that cannot be
@@ -15,6 +15,7 @@ PATH only on success.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 
 from . import __version__
-from .dickman import default_grid, rho, xi
+from .dickman import log_rho_array, rho, xi
 from .errors import DisagreementError, DomainError, ResourceError, short_int
 from .prime_tables import sieve_primes
 from .psi_exact import psi_buchstab, psi_enumerate, psi_sieve
@@ -33,6 +34,7 @@ from .theorem import (
     oscillation_scan,
     regime_record,
     regime_y,
+    write_csv,
     write_oscillation_csv,
     write_regime_csv,
 )
@@ -104,27 +106,21 @@ def _emit_json(meta: dict, rows: list, fh) -> None:
     fh.write("\n")
 
 
-def _csv_cell(v) -> str:
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
-
-
-def _emit(args, meta: dict, rows, fh, *, scalar=None, write_csv=None) -> None:
+def _emit(args, meta: dict, rows, fh, *, scalar=None, csv_writer=None) -> None:
     """Write a result in --format.  plain prints scalar if the command has
-    one and is CSV otherwise; CSV is write_csv if given, else the row dicts
-    under a header of their keys, floats .17g and the rest with str.  rows
-    may be a generator, so plain output never builds them."""
+    one and is CSV otherwise; CSV is csv_writer if given, else write_csv of
+    the row dicts under a header of their keys.  rows may be a generator:
+    plain output never builds them, CSV writes each as it comes, JSON lists all."""
     if args.format == "plain" and scalar is not None:
         fh.write(f"{scalar!r}\n")
     elif args.format == "json":
         _emit_json(meta, rows, fh)
-    elif write_csv is not None:
-        write_csv(fh)
+    elif csv_writer is not None:
+        csv_writer(fh)
     else:
         rows = iter(rows)
         first = next(rows)
-        fh.write(",".join(first) + "\n")
-        for row in (first, *rows):
-            fh.write(",".join(map(_csv_cell, row.values())) + "\n")
+        write_csv(fh, ",".join(first), map(dict.values, itertools.chain([first], rows)))
 
 
 # --- subcommand bodies --------------------------------------------------------------
@@ -134,18 +130,15 @@ def _run_primes(args, fh) -> None:
     table = sieve_primes(args.limit)
     meta = {"subcommand": "primes", "limit": args.limit, "format": args.format}
 
-    def rows():
-        for p, lp in zip(table.primes.tolist(), table.log_primes.tolist()):
-            yield {"p": p, "log_p": lp}
-
-    _emit(args, meta, rows(), fh, scalar=len(table.primes))
+    rows = ({"p": p, "log_p": lp}
+            for p, lp in zip(map(int, table.primes), map(float, table.log_primes)))
+    _emit(args, meta, rows, fh, scalar=len(table.primes))
 
 
 def _write_rho_grid(fh) -> None:
-    # u,log_rho at default_grid's nodes i/128 up to u = 128, 17 significant digits
-    grid = default_grid()
-    fh.write("u,log_rho\n")
-    fh.writelines(f"{i * grid.h:.17g},{v:.17g}\n" for i, v in enumerate(grid.log_rho.tolist()))
+    # u,log_rho at the 16,385 nodes i/128 up to u = 128
+    u = [i / 128 for i in range(128 * 128 + 1)]
+    write_csv(fh, "u,log_rho", zip(u, log_rho_array(u).tolist()))
 
 
 def _run_rho(args, fh) -> None:
@@ -244,7 +237,7 @@ def _run_compare(args, fh) -> None:
             "log_x": [lx for lx, _, _ in log_xs],
             "max_count": args.max_count, "format": args.format}
     _emit(args, meta, [asdict(r) for r in records], fh,
-          write_csv=lambda out: write_regime_csv(records, out))
+          csv_writer=lambda out: write_regime_csv(records, out))
 
 
 def _run_oscillate(args, fh) -> None:
@@ -269,7 +262,7 @@ def _run_oscillate(args, fh) -> None:
     meta = {"subcommand": "oscillate", "c": args.c, "y_min": args.y_min,
             "y_max": args.y_max, "y_steps": args.y_steps, "format": args.format}
     _emit(args, meta, [asdict(r) for r in records], fh,
-          write_csv=lambda out: write_oscillation_csv(records, out))
+          csv_writer=lambda out: write_oscillation_csv(records, out))
 
 
 # --- parser and dispatch ------------------------------------------------------------

@@ -11,7 +11,7 @@ asymptotic statements themselves.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -256,17 +256,27 @@ def q_integral(y: float, alpha: float, table: PrimeTable) -> tuple:
 
 
 # --- CSV plumbing -------------------------------------------------------------------
+# write_csv writes every CSV table the package prints: a float cell to 17
+# significant digits, which read back to the same double, any other with str
+
+def _cell(v) -> str:
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def write_csv(fh, header: str, rows) -> None:
+    """header, then one line per row of cells, reading rows one at a time."""
+    fh.write(header + "\n")
+    for row in rows:
+        fh.write(",".join(map(_cell, row)) + "\n")
+
 
 REGIME_HEADER = "log_x,c,y,u,alpha,log_psi_exact,log_x_rho,measured_gap,predicted_gap,regime"
 OSCILLATION_HEADER = "y,alpha,S,I,diff,normalizer,normalized_diff"
 
 
 def write_regime_csv(records, fh) -> None:
-    fh.write(REGIME_HEADER + "\n")
-    for r in records:
-        fh.write(f"{r.log_x:.17g},{r.c:.17g},{r.y:.17g},{r.u:.17g},{r.alpha:.17g},"
-                 f"{r.log_psi_exact:.17g},{r.log_x_rho:.17g},{r.measured_gap:.17g},"
-                 f"{r.predicted_gap:.17g},{r.regime}\n")
+    # flag is derived from regime and alpha, so it stays out of the row
+    write_csv(fh, REGIME_HEADER, (astuple(r)[:-1] for r in records))
 
 
 def _csv_rows(fh, header: str, n_float: int):
@@ -295,10 +305,7 @@ def read_regime_csv(fh) -> list:
 
 
 def write_oscillation_csv(records, fh) -> None:
-    fh.write(OSCILLATION_HEADER + "\n")
-    for r in records:
-        fh.write(f"{r.y:.17g},{r.alpha:.17g},{r.s_sum:.17g},{r.i_term:.17g},"
-                 f"{r.diff:.17g},{r.normalizer:.17g},{r.normalized_diff:.17g}\n")
+    write_csv(fh, OSCILLATION_HEADER, map(astuple, records))
 
 
 def read_oscillation_csv(fh) -> list:

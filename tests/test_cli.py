@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -447,6 +448,24 @@ def test_log_x_refused_before_counting(method, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err == f"domain error: method {method} needs an exact --x, not --log-x\n"
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_rows_stream(tmp_path):
+    # CSV writes each row as it is made: 78,498 rows of primes up to 1e6 take
+    # about the plain count's memory, not a list of every row first
+    argv = ["primes", "--limit", "1000000", "--output", str(tmp_path / "p.txt")]
+    plain = _traced_peak(argv)
+    csv = _traced_peak(argv + ["--format", "csv"])
+    assert csv < 2 * plain, (csv, plain)
 
 
 def test_primes_limit_2_lists_only_2(capsys):
