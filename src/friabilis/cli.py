@@ -2,10 +2,10 @@
 
 Subcommands: primes, rho, xi, alpha, psi, compare, oscillate.  Scalar
 queries print a single value; every command also emits its rows as CSV
-(the default of compare and oscillate) or JSON.  CSV rows are written as
-they are made; JSON is one object {"meta": {...}, "rows": [...]}, built
-whole, where meta echoes the resolved configuration.  Identical invocations
-produce byte-identical output: no randomness, no timestamps, repr-stable floats.
+(the default of compare and oscillate) or JSON, one object {"meta", "rows"}
+in json.dump's indent=2 layout, meta echoing the resolved configuration;
+both write rows as they are made.  Identical invocations produce
+byte-identical output: no randomness, no timestamps, repr-stable floats.
 
 Exit codes: 0 success, 2 usage (including a float option given as nan
 or inf), 3 domain/range error (including an --output path that cannot be
@@ -99,18 +99,23 @@ def _clean(v):
     return v
 
 
-def _emit_json(meta: dict, rows: list, fh) -> None:
-    doc = {"meta": {"version": __version__, "config": meta},
-           "rows": [{k: _clean(v) for k, v in row.items()} for row in rows]}
-    json.dump(doc, fh, indent=2)
-    fh.write("\n")
+def _emit_json(meta: dict, rows, fh) -> None:
+    # the bytes of json.dump(doc, fh, indent=2), written one row at a time
+    enc = json.JSONEncoder(indent=2)
+    head = enc.encode({"version": __version__, "config": meta}).replace("\n", "\n  ")
+    fh.write(f'{{\n  "meta": {head},\n  "rows": [')
+    sep = "\n    "
+    for row in rows:
+        fh.write(sep + enc.encode({k: _clean(v) for k, v in row.items()}).replace("\n", "\n    "))
+        sep = ",\n    "
+    fh.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
 
 
 def _emit(args, meta: dict, rows, fh, *, scalar=None, csv_writer=None) -> None:
     """Write a result in --format.  plain prints scalar if the command has
     one and is CSV otherwise; CSV is csv_writer if given, else write_csv of
     the row dicts under a header of their keys.  rows may be a generator:
-    plain output never builds them, CSV writes each as it comes, JSON lists all."""
+    plain output never builds them, CSV and JSON write each as it comes."""
     if args.format == "plain" and scalar is not None:
         fh.write(f"{scalar!r}\n")
     elif args.format == "json":

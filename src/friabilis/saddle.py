@@ -2,12 +2,13 @@
 
 The saddle alpha = alpha(x, y) solves sum_{p <= y} log p / (p^alpha - 1) = log x,
 by one Newton run over the log-primes, or over their Gauss-compressed form
-where PrimeTable.gauss_prefix compresses them; the correctly rounded
-residual over every log-prime is summed only when it is read.  Around it
-live the partial zeta, the sums S and T, the weight w_sigma, the function
-f(sigma) = sigma log x + I((1 - sigma) log y) with its stationary point
-beta = 1 - xi(u)/log y, and the saddle approximation to Psi itself, which
-takes its log zeta from the compressed log-primes too.
+where PrimeTable.gauss_prefix compresses them.  The SaddleState it returns
+keeps those points, and sums over them at its alpha are cached properties
+of it: log zeta now, read by the saddle approximation to Psi.  The
+correctly rounded residual over every log-prime is summed only when it is
+read.  Around it live the partial zeta, the sums S and T, the weight
+w_sigma, and the function f(sigma) = sigma log x + I((1 - sigma) log y)
+with its stationary point beta = 1 - xi(u)/log y.
 """
 
 import functools
@@ -34,10 +35,12 @@ class SaddleState:
     beta: float       # 1 - xi(u)/log y; NaN when u < 1
 
     # solve_alpha also sets _log_primes, every log-prime p <= y, which the
-    # residual sums over: a view of the table's array, not a field, so that
-    # asdict, repr and == leave it out.  solver_residual is not a field
-    # either: asdict leaves it out, and the alpha command appends it as the
-    # last column.
+    # residual sums over, and _points and _weights, the measure its Newton
+    # ran on (_weights None where it is _log_primes itself): views of the
+    # table's array or new arrays, never the table, and not fields, so that
+    # asdict, repr and == leave them out.  The cached properties are not
+    # fields either: asdict leaves them out, and the alpha command appends
+    # solver_residual as the last column.
 
     @functools.cached_property
     def solver_residual(self) -> float:
@@ -53,16 +56,29 @@ class SaddleState:
             _terms(self._log_primes, self.alpha, t)
         return exact_sum(t) - self.log_x
 
+    @functools.cached_property
+    def log_zeta(self) -> float:
+        """log zeta(alpha, y), summed over the points the solve ran on.
+
+        Over the Gauss-compressed points the weighted terms sum to
+        zeta_partial's correctly rounded full sum within 2.2e-16 relative
+        for 1e-17 <= alpha <= 3 (see prime_tables._HEAD); over the full
+        log-primes the sum is zeta_partial's own.
+        """
+        t = _zeta_terms(self._points, self.alpha)
+        if self._weights is not None:
+            np.multiply(t, self._weights, out=t)
+        return exact_sum(t)
+
 
 # Newton passes allowed per solve; from the closed form or from beta a solve
 # needs at most about 10
 _MAX_PASSES = 100
 
-# the last solve_alpha result as (weakref to its table, log_x, y, alpha),
-# swapped as one tuple; only psi_saddle reads it, so a caller that has just
-# solved a point does not pay a second solve there.  The NaNs of the empty
-# memo equal no float.
-_last_solve = (None, math.nan, math.nan, math.nan)
+# the last SaddleState solve_alpha returned on each live table; only
+# psi_saddle reads it, so a caller that has just solved a point pays no
+# second solve there.  A state holds no reference to its table.
+_last_solve = weakref.WeakKeyDictionary()
 
 
 def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
@@ -90,14 +106,13 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
     sums no residual: SaddleState.solver_residual takes one pass over
     every log-prime and one exact_sum on its first read, so a caller that
     needs only alpha pays for neither.  Every call solves; the result is
-    also kept as the one-entry memo that psi_saddle reads.
+    also kept as the table's last solve, which psi_saddle reads.
     A root below alpha = 1e-18 (log_x = 1e300 at y = 100) is out of the
     solver's range and raises RangeError; the floor is checked on the
     result too, since the start can converge straight to such a root.  A u
     past xi's range (2.53e305) puts the root below pi(y)/log_x < 1e-290, so
     it raises the same RangeError before any pass.
     """
-    global _last_solve
     log_x = float(log_x)
     y = float(y)
     if y < 2.0:
@@ -121,10 +136,10 @@ def solve_alpha(log_x: float, table: PrimeTable, y: float) -> SaddleState:
         a = _newton(points, weights, log_x, y, a)
     if a < 1e-18:
         raise RangeError(f"alpha(x, y) lies below 1e-18 at log_x={log_x}, y={y}")
-    _last_solve = (weakref.ref(table), log_x, y, a)
     c = log_y / math.log(log_x) if log_x > 1.0 else math.nan
     state = SaddleState(log_x=log_x, y=y, u=u, c=c, alpha=a, beta=beta)
-    state._log_primes = logp
+    state._log_primes, state._points, state._weights = logp, points, weights
+    _last_solve[table] = state
     return state
 
 
@@ -222,21 +237,6 @@ def _zeta_terms(logp, s):
     return t
 
 
-def _log_zeta(s, table, y):
-    """zeta_partial(s, table, y), summed over table.gauss_prefix where it compresses.
-
-    The weighted terms over the compressed points sum to the full sum
-    within 2.2e-16 relative for 1e-17 <= s <= 3 (see prime_tables._HEAD);
-    a prefix too short to compress takes zeta_partial's full sum.
-    """
-    k = table.pi(y)
-    if (prefix := table.gauss_prefix(k)) is None:
-        return exact_sum(_zeta_terms(table.log_primes[:k], s))
-    points, weights = prefix
-    t = _zeta_terms(points, s)
-    return exact_sum(np.multiply(t, weights, out=t))
-
-
 def prime_power_sums(s: float, table: PrimeTable, y: float) -> tuple:
     """(S, T) with S = sum_{p<=y} p^{-s} and T = sum_{p<=y} p^{-2s}."""
     s = float(s)
@@ -309,14 +309,10 @@ def f_at_beta_identity(log_x: float, y: float) -> tuple:
 def psi_saddle(log_x: float, table: PrimeTable, y: float) -> float:
     """log of the saddle approximation x^alpha zeta(alpha,y) / (alpha log y sqrt(2 pi u)).
 
-    alpha is the one solve_alpha last returned when that solve was over
-    this same table object at equal floats log_x and y; any other point
-    is solved afresh.  alpha depends on nothing else, so the value is bit
-    for bit that of a fresh solve.  log zeta(alpha, y) is summed over the
-    Gauss-compressed log-primes where table.gauss_prefix(pi(y)) gives them
-    (10,499 points for the 664,579 primes up to 1e7), within 2.2e-16
-    relative of zeta_partial's correctly rounded full sum, which shorter
-    prefixes take.
+    The state is the last one solve_alpha returned on this table when its
+    log_x and y equal the query's, else a fresh solve, so the value is bit
+    for bit that of a fresh solve.  Its log_zeta sums over the points the
+    solve ran on (10,499 for the 664,579 primes up to 1e7).
     """
     log_x = float(log_x)
     y = float(y)
@@ -327,9 +323,10 @@ def psi_saddle(log_x: float, table: PrimeTable, y: float) -> float:
     u = log_x / math.log(y)
     if u < 2.0:
         raise DomainError(f"psi_saddle intended for u >= 2, got u = {u}")
-    ref, last_log_x, last_y, alpha = _last_solve
-    if not (last_log_x == log_x and last_y == y and ref() is table):
-        alpha = solve_alpha(log_x, table, y).alpha
-    return (alpha * log_x + _log_zeta(alpha, table, y)
+    st = _last_solve.get(table)
+    if st is None or st.log_x != log_x or st.y != y:
+        st = solve_alpha(log_x, table, y)
+    alpha = st.alpha
+    return (alpha * log_x + st.log_zeta
             - math.log(alpha) - math.log(math.log(y))
             - 0.5 * math.log(2.0 * math.pi * u))

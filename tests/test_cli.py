@@ -468,6 +468,15 @@ def test_csv_rows_stream(tmp_path):
     assert csv < 2 * plain, (csv, plain)
 
 
+def test_json_rows_stream(tmp_path):
+    # JSON too writes each row as it is made, in json.dump's layout: the
+    # 78,498 rows up to 1e6 take about the plain count's memory
+    argv = ["primes", "--limit", "1000000", "--output", str(tmp_path / "p.txt")]
+    plain = _traced_peak(argv)
+    doc = _traced_peak(argv + ["--format", "json"])
+    assert doc < 2 * plain, (doc, plain)
+
+
 def test_primes_limit_2_lists_only_2(capsys):
     from friabilis.prime_tables import sieve_primes
     from friabilis.saddle import solve_alpha

@@ -70,6 +70,19 @@ def _count_expm1(monkeypatch):
     return calls
 
 
+def _count_log1p(monkeypatch):
+    # the length of every np.log1p call: log zeta's terms above log 2
+    lengths = []
+    log1p = np.log1p
+
+    def counting(x, *args, **kwargs):
+        lengths.append(len(x))
+        return log1p(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log1p", counting)
+    return lengths
+
+
 def zeta_terms(s, lp):
     # -log(1 - p^-s), split at s log p = log 2 as zeta_partial splits it:
     # z/2 - log(2 sinh(z/2)) at and below, -log1p(-e^(-z)) above
@@ -440,9 +453,9 @@ def test_log_zeta_compressed_against_zeta_partial(table_1e7):
     for y in (2e5, 1e6, 1e7):
         assert table_1e7.gauss_prefix(table_1e7.pi(y)) is not None
         for u in (2.0, 13.0, 89.0, 1e3, 1e6):
-            a = solve_alpha(u * math.log(y), table_1e7, y).alpha
-            want = zeta_partial(a, table_1e7, y)
-            assert abs(saddle._log_zeta(a, table_1e7, y) - want) <= 4.4e-16 * want, (y, u)
+            st = solve_alpha(u * math.log(y), table_1e7, y)
+            want = zeta_partial(st.alpha, table_1e7, y)
+            assert abs(st.log_zeta - want) <= 4.4e-16 * want, (y, u)
 
 
 def test_psi_saddle_sums_no_full_zeta(table_1e7, monkeypatch):
@@ -450,14 +463,7 @@ def test_psi_saddle_sums_no_full_zeta(table_1e7, monkeypatch):
     # compressed points: its np.log1p calls together cover no more than
     # those, where the full sum's one call covers the primes above
     # 2^(1/alpha), nearly all pi(y)
-    lengths = []
-    log1p = np.log1p
-
-    def counting(x, *args, **kwargs):
-        lengths.append(len(x))
-        return log1p(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "log1p", counting)
+    lengths = _count_log1p(monkeypatch)
     y = 1e7
     points = len(table_1e7.gauss_prefix(table_1e7.pi(y))[0])
     for log_x in _cells_1e7():
@@ -465,6 +471,29 @@ def test_psi_saddle_sums_no_full_zeta(table_1e7, monkeypatch):
         lengths.clear()
         psi_saddle(log_x, table_1e7, y)
         assert 0 < sum(lengths) <= points, (log_x, lengths)
+
+
+def test_solve_then_psi_saddle_choose_the_points_once(table_1e7, monkeypatch):
+    # solve_alpha picks the compressed points and psi_saddle sums log zeta
+    # over the state's own, so the pair asks gauss_prefix once; a second
+    # psi_saddle at the point reads the kept log zeta and sums nothing
+    prefixes = []
+    gauss_prefix = prime_tables.PrimeTable.gauss_prefix
+
+    def counting(self, k):
+        prefixes.append(k)
+        return gauss_prefix(self, k)
+
+    monkeypatch.setattr(prime_tables.PrimeTable, "gauss_prefix", counting)
+    y = 1e7
+    log_x = 13.0 * math.log(y)
+    solve_alpha(log_x, table_1e7, y)
+    first = psi_saddle(log_x, table_1e7, y)
+    assert prefixes == [table_1e7.pi(y)]
+    lengths = _count_log1p(monkeypatch)
+    assert psi_saddle(log_x, table_1e7, y).hex() == first.hex()
+    assert lengths == []
+    assert prefixes == [table_1e7.pi(y)]
 
 
 def test_residual_is_fsum_at_1e7(table_1e7):
@@ -823,7 +852,7 @@ def test_psi_saddle_memo_misses(table, monkeypatch):
 def test_memo_holds_its_table_weakly():
     small = sieve_primes(1000)
     solve_alpha(30.0, small, 100.0)
-    ref = saddle._last_solve[0]
+    ref = weakref.ref(small)
     assert ref() is small
     del small
     gc.collect()
