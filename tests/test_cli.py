@@ -477,6 +477,21 @@ def test_json_rows_stream(tmp_path):
     assert doc < 2 * plain, (doc, plain)
 
 
+@pytest.mark.parametrize("argv", [
+    "primes --limit 1000",
+    "psi --x 1e6 --y 100 --method all",
+    "alpha --x 1e10 --y 1000",
+    "alpha --log-x 0.9 --y 2",  # c is NaN, so the row holds a null
+    "oscillate --c 1.5 --y-min 1e3 --y-max 1e4 --y-steps 3",
+    "compare --c 0.7 --x 1e8",
+])
+def test_json_bytes_are_json_dump(argv, capsys):
+    # --format json writes json.dump(doc, indent=2)'s bytes, not only a parseable document
+    code, out = run_cli(argv.split() + ["--format", "json"], capsys)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_primes_limit_2_lists_only_2(capsys):
     from friabilis.prime_tables import sieve_primes
     from friabilis.saddle import solve_alpha

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from friabilis import prime_tables
 from friabilis.errors import DomainError, RangeError, ResourceError
 from friabilis.prime_tables import (
     _BLOCK,
@@ -108,7 +109,8 @@ def test_pi_1e6(table_1e6):
 
 
 def test_sieve_segment_edges_by_miller_rabin():
-    # the 1e6 table is one segment; 1e7 spans ten, so every join is checked
+    # the 1e6 table is one segment; 1e7 spans five, and the edges at every
+    # multiple of _SEGMENT take in each join (2 _SEGMENT k + 1)
     limit = 10**7
     table = sieve_primes(limit)
     assert table.pi(limit) == 664579
@@ -116,6 +118,25 @@ def test_sieve_segment_edges_by_miller_rabin():
     for edge in range(_SEGMENT, limit, _SEGMENT):
         for n in range(edge - 2000, edge + 2001):
             assert (n in primes) == mr_is_prime(n), n
+
+
+@pytest.mark.parametrize("segment", [7, 64, 1000])
+def test_sieve_small_segments_by_trial_division(segment, monkeypatch):
+    # short segments put hundreds of joins, and first odd multiples of both
+    # parities of ceil(lo / p), under the oracle
+    monkeypatch.setattr(prime_tables, "_SEGMENT", segment)
+    primes = trial_division_primes(10**5)
+    for limit in (2, 3, 9, 10, 2 * segment, 2 * segment + 1, 2 * segment + 2,
+                  4 * segment - 1, 12_345, 10**5 - 1, 10**5):
+        got = sieve_primes(limit).primes
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in primes if p <= limit], limit
+
+
+def test_sieve_at_the_cap():
+    table = sieve_primes(10**8)
+    assert len(table.primes) == 5_761_455
+    assert int(table.primes[-1]) == 99_999_989
 
 
 def test_sieve_tail_by_miller_rabin(table_1e6):
