@@ -96,10 +96,6 @@ def _open_for_write(path: str, shown: str):
         raise DomainError(f"cannot write {shown}: {exc.strerror or exc}") from exc
 
 
-# the value types of a row that _emit_json writes through the C encoder
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
 def _clean(v):
     # JSON has no NaN/inf; emit null and let readers treat it as absent
     if isinstance(v, float) and not math.isfinite(v):
@@ -109,19 +105,17 @@ def _clean(v):
 
 def _emit_json(meta: dict, rows, fh) -> None:
     # the bytes of json.dump(doc, fh, indent=2), written one row at a time.
-    # indent takes json's pure-Python encoder; a nonempty row of scalar values
-    # gets the same layout from the C encoder's separators
-    enc = json.JSONEncoder(indent=2)
+    # meta goes through json's pure-Python indent encoder; every row is a
+    # nonempty dict of str, int, float, bool or None, which the C encoder's
+    # separators lay out the same way
     flat = json.JSONEncoder(separators=(",\n      ", ": ")).encode
-    head = enc.encode({"version": __version__, "config": meta}).replace("\n", "\n  ")
+    head = json.JSONEncoder(indent=2).encode({"version": __version__, "config": meta})
+    head = head.replace("\n", "\n  ")
     fh.write(f'{{\n  "meta": {head},\n  "rows": [')
     sep = "\n    "
     for row in rows:
-        row = {k: _clean(v) for k, v in row.items()}
-        if row and _SCALARS.issuperset(map(type, row.values())):
-            fh.write(sep + "{\n      " + flat(row)[1:-1] + "\n    }")
-        else:
-            fh.write(sep + enc.encode(row).replace("\n", "\n    "))
+        body = flat({k: _clean(v) for k, v in row.items()})[1:-1]
+        fh.write(sep + "{\n      " + body + "\n    }")
         sep = ",\n    "
     fh.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
 
@@ -202,9 +196,10 @@ def _run_alpha(args, fh) -> None:
     state = solve_alpha(log_x, table, args.y)
     meta = {"subcommand": "alpha", "x_form": form, "log_x": log_x,
             "y": args.y, "format": args.format}
-    # the residual is a property, read after the fields, so it stays the last column
-    row = {**asdict(state), "solver_residual": state.solver_residual}
-    _emit(args, meta, [row], fh, scalar=state.alpha)
+    # the residual is a property, read after the fields, so it stays the last
+    # column; a one-row generator, so plain output never sums it
+    rows = ({**asdict(s), "solver_residual": s.solver_residual} for s in (state,))
+    _emit(args, meta, rows, fh, scalar=state.alpha)
 
 
 def _run_psi(args, fh) -> None:

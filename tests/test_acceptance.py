@@ -15,9 +15,9 @@ import subprocess
 import sys
 import time
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 
 from friabilis import psi_exact
 from friabilis.dickman import rho, rho_asymptotic, xi
@@ -234,8 +234,8 @@ def test_criterion_10_eq8_prime_power_gap(table6):
     def pi_bound_sum(z, b, lo):
         if z <= lo:
             return 0.0, 0.0
-        val, err = scipy.integrate.quad(lambda t: t ** -b / math.log(t), lo, z)
-        return z ** (1.0 - b) / math.log(z) + b * val, b * err
+        val, err = mpmath.quad(lambda t: t ** -b / mpmath.log(t), [lo, z], error=True)
+        return z ** (1.0 - b) / math.log(z) + b * float(val), b * float(err)
 
     rows = []
     lows, highs, budget = [], [], 0.0

@@ -479,6 +479,8 @@ def test_json_rows_stream(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     "primes --limit 1000",
+    "rho --u 20 --log",
+    "xi --u 3",
     "psi --x 1e6 --y 100 --method all",
     "alpha --x 1e10 --y 1000",
     "alpha --log-x 0.9 --y 2",  # c is NaN, so the row holds a null
@@ -490,6 +492,33 @@ def test_json_bytes_are_json_dump(argv, capsys):
     code, out = run_cli(argv.split() + ["--format", "json"], capsys)
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt, sums", [("plain", 0), ("csv", 1)])
+def test_alpha_sums_the_residual_only_when_printed(fmt, sums, capsys, monkeypatch):
+    # the residual is one exact_sum over every log-prime p <= y; plain
+    # output prints alpha alone and never reads it
+    from friabilis import saddle
+    calls = []
+    real = saddle.exact_sum
+
+    def counted(arr):
+        calls.append(len(arr))
+        return real(arr)
+
+    monkeypatch.setattr(saddle, "exact_sum", counted)
+    code, out = run_cli(["alpha", "--x", "1e10", "--y", "1000", "--format", fmt], capsys)
+    assert code == 0 and out
+    assert len(calls) == sums
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("psi --x 1000 --y 1e6 --method all", "1000\n"),
+    # y past the 1e8 table cap: only the clamp to y <= x + 1 keeps this off exit 4
+    ("psi --log-x 5 --y 1e9", "148\n"),
+])
+def test_psi_y_above_x_is_clamped(argv, want, capsys):
+    assert run_cli(argv.split(), capsys) == (0, want)
 
 
 def test_primes_limit_2_lists_only_2(capsys):
@@ -515,7 +544,8 @@ def test_max_count_not_positive_exit_3(cap, capsys):
 
 
 def test_no_scipy_at_runtime():
-    # scipy is a test-only oracle; importing the package and its CLI must not load it
+    # neither the package nor its tests use scipy, whose import once took most
+    # of the CLI's start-up; importing the package and its CLI must not load it
     code = ("import sys, friabilis, friabilis.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)

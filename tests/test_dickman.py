@@ -1,9 +1,10 @@
 """Dickman rho series and grid, xi solver, and the saddle-side integrals.
 
 Oracles: bisection for xi (independent of the Newton path), a compensated
-series for I(s), scipy quadrature for the Stieltjes form of xi_integral,
-and for rho the dilogarithm closed form on [2, 3] (mpmath), quadrature of
-the integral identity, and a fixed-point grid march (rho_march.py).
+series and mpmath's Ei for I(s), mpmath quadrature for the Stieltjes form
+of xi_integral, and for rho the dilogarithm closed form on [2, 3] (mpmath),
+mpmath quadrature of the integral identity, and a fixed-point grid march
+(rho_march.py).
 """
 
 import math
@@ -12,7 +13,6 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from friabilis.cli import main
 from friabilis.dickman import (
@@ -74,13 +74,13 @@ def series_int_exp(s):
 
 
 def stieltjes_xi_integral(u):
-    # direct quadrature of t * xi'(t); independent of the by-parts route
+    # direct quadrature of t * xi'(t); independent of the by-parts route.
+    # t stays an mpf: in floats 1 + t x - t is 0 at the nodes that round to t = 1
     def integrand(t):
         x = xi(t).xi
         return t * x / (1.0 + t * x - t)
 
-    val, _ = quad(integrand, 1.0, u, epsabs=0, epsrel=1e-11, limit=300)
-    return val
+    return float(mpmath.quad(integrand, [1, u]))
 
 
 @pytest.fixture(scope="module")
@@ -239,31 +239,16 @@ def test_integral_identity_seeded():
     rng = np.random.default_rng(20260817)
     for u in rng.uniform(2.2, 128.0, 200):
         base = rho(u)
-        val, _ = quad(
-            lambda t: math.exp(rho(t) - base),
-            u - 1.0,
-            u,
-            points=[math.floor(u)],
-            epsabs=0,
-            epsrel=1e-13,
-            limit=200,
-        )
+        val = mpmath.quad(lambda t: math.exp(rho(float(t)) - base),
+                          [u - 1.0, math.floor(u), u])
         assert abs(val / u - 1.0) <= 1e-12
 
 
 def test_integral_identity_across_kink():
     # interval straddles u = 1 where rho' jumps; split the quadrature there
     for u in (1.3, 1.7, 1.95):
-        val, _ = quad(
-            lambda t: math.exp(rho(t)),
-            u - 1.0,
-            u,
-            points=[1.0],
-            epsabs=0,
-            epsrel=1e-13,
-            limit=200,
-        )
-        assert val == pytest.approx(u * math.exp(rho(u)), rel=1e-12)
+        val = mpmath.quad(lambda t: math.exp(rho(float(t))), [u - 1.0, 1.0, u])
+        assert float(val) == pytest.approx(u * math.exp(rho(u)), rel=1e-12)
 
 
 # --- domain handling ---------------------------------------------------------------
@@ -425,10 +410,12 @@ def test_int_exp_basics():
 
 
 def test_int_exp_dual_method_and_seam():
-    # one series over the whole range, across the old series/quadrature seam at 30
+    # one series over the whole range, across the old series/quadrature seam
+    # at 30, against the closed form I(s) = Ei(s) - gamma - log s
     for s in (10.0, 29.9, 30.0, 30.1, 30.5, 40.0, 50.0, 100.0, 300.0, 700.0):
-        qv, _ = quad(lambda v: math.expm1(v) / v, 0.0, s, epsabs=0, epsrel=1e-13, limit=500)
-        assert int_exp(s) == pytest.approx(qv, rel=1e-12)
+        with mpmath.workdps(30):
+            closed = float(mpmath.ei(s) - mpmath.euler - mpmath.log(s))
+        assert int_exp(s) == pytest.approx(closed, rel=1e-12)
 
 
 def test_int_exp_increasing_and_convex():

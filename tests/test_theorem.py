@@ -6,9 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 
-from friabilis.dickman import EULER_GAMMA, int_exp
+from friabilis.dickman import EULER_GAMMA, RHO_U_MAX, int_exp
 from friabilis.errors import DomainError, RangeError, ResourceError
 from friabilis.prime_tables import exact_sum, sieve_primes
 from friabilis.saddle import prime_power_sums, solve_alpha, zeta_partial
@@ -198,6 +197,16 @@ def test_feasible_limit_bound_by_the_table():
         th.largest_feasible_log_x(1.2, sieve_primes(10))
 
 
+def test_feasible_limit_bound_by_rho_range(table):
+    # at the default caps c = 0.33 stops where u = log x / log y reaches the
+    # end of rho's range, before the table or the count binds; a record a
+    # little past that log x has no rho to compare with
+    lx = th.largest_feasible_log_x(0.33, table)
+    assert lx / math.log(lx ** 0.33) == pytest.approx(RHO_U_MAX, rel=1e-12)
+    with pytest.raises(RangeError, match="rho covers"):
+        th.regime_record(lx * (1.0 + 1e-9), 0.33, table)
+
+
 def test_eq6_lower_bound_shape(table):
     # Psi/(x rho) >= {c e^-gamma/(c-1)} e^{log zeta - I} holds only up to the
     # slowly-decaying prefactor correction log(alpha log y * c/(c-1)); at desk
@@ -312,9 +321,10 @@ def test_q_integral_hand_values(table):
     # y=3: no prime power above first order fits, so both parts coincide
     q, pi = th.q_integral(3.0, 0.4, table)
     assert q == pi
-    smooth, err = scipy.integrate.quad(lambda t: t ** -0.4 / math.log(t), 2.0, 3.0)
+    # a direct quadrature, not the Ei identity that q_integral itself uses
+    smooth, err = mpmath.quad(lambda t: t ** -0.4 / mpmath.log(t), [2, 3], error=True)
     assert err < 1e-12
-    assert q == pytest.approx(2 ** -0.4 + 3 ** -0.4 - smooth, rel=1e-12)
+    assert q == pytest.approx(2 ** -0.4 + 3 ** -0.4 - float(smooth), rel=1e-12)
 
 
 def test_q_integral_power_tail(table):
