@@ -5,8 +5,8 @@ rho solves the delay equation u rho'(u) + rho(u-1) = 0 with rho = 1 on
 it is a power series in k - u whose coefficients follow from the previous
 interval's by a recurrence of positive terms (Marsaglia, Zaman &
 Marsaglia 1989; Bach & Peralta 1996).  log_rho_array evaluates it over
-arrays of u up to 500 as log rho, one log scale per interval, since rho
-underflows a double near u ~ 130; rho(u) is its scalar form up to 128.
+arrays of u up to RHO_U_MAX = 500 as log rho, one log scale per interval,
+since rho underflows a double near u ~ 130; rho(u) is its scalar form.
 
 xi(u) is the nonzero root of e^xi = 1 + u*xi, found by Newton on its
 log form xi = log1p(u*xi), which is convex and cannot overflow, and by a
@@ -161,8 +161,7 @@ def rho_asymptotic(u) -> float:
 # --- rho ---------------------------------------------------------------------------
 
 
-RHO_U_MAX = 128.0  # rho(u) answers up to here; rho(128) ~ 1e-310, near the double floor
-_MAX_U = 500.0  # log_rho_array, and so build_rho_grid, answers up to here
+RHO_U_MAX = 500.0  # log_rho_array, and so rho and build_rho_grid, answer up to here
 _TERMS = 60  # per unit interval; the tail falls like 2^-i (singularity at z = 2)
 
 # interval k covers [k-1, k]: rho(u) = exp(log_scale[k-2]) * sum_i coef[k-2, i] (k-u)^i,
@@ -222,8 +221,8 @@ def log_rho_array(u) -> np.ndarray:
         lo, top = u.min(initial=math.inf), u.max(initial=2.0)
     if not lo >= 0.0:
         raise DomainError(f"log rho needs u >= 0, got {lo}")
-    if top > _MAX_U:
-        raise RangeError(f"log rho covers u <= {_MAX_U:g}, got u={top}")
+    if top > RHO_U_MAX:
+        raise RangeError(f"log rho covers u <= {RHO_U_MAX:g}, got u={top}")
     coef, log_scale = _extend_series(math.ceil(top))
     if scalar:
         if lo <= 2.0:
@@ -249,12 +248,7 @@ def log_rho_array(u) -> np.ndarray:
 
 def rho(u) -> float:
     """log rho(u) for 0 <= u <= RHO_U_MAX, from log_rho_array."""
-    u = float(u)
-    if not u >= 0.0:
-        raise DomainError(f"rho needs u >= 0, got {u}")
-    if u > RHO_U_MAX * (1.0 + 1e-12):
-        raise RangeError(f"rho covers u <= {RHO_U_MAX:g}, got u={u}")
-    return float(log_rho_array(u))
+    return float(log_rho_array(float(u)))
 
 
 @dataclass(eq=False)  # == on the array fields would raise, so an instance equals only itself
@@ -265,9 +259,9 @@ class RhoGrid:
 
 
 def build_rho_grid(u_max: float = 128.0) -> RhoGrid:
-    """log rho at the nodes i/128 up to u_max (at most 500)."""
-    if not (2.0 <= u_max <= _MAX_U):
-        raise DomainError(f"u_max must lie in [2, {_MAX_U}], got {u_max}")
+    """log rho at the nodes i/128 up to u_max (at most RHO_U_MAX)."""
+    if not (2.0 <= u_max <= RHO_U_MAX):
+        raise DomainError(f"u_max must lie in [2, {RHO_U_MAX}], got {u_max}")
     n = math.ceil(u_max * 128 - 1e-9)
     return RhoGrid(u_max=n / 128, h=1.0 / 128, log_rho=log_rho_array(np.arange(n + 1) / 128))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError, short_int
-from .prime_tables import PrimeTable, sieve_primes
+from .prime_tables import PrimeTable, _iroot, sieve_primes
 from .saddle import psi_saddle
 
 
@@ -251,10 +251,10 @@ def psi_sieve(x, y) -> PsiResult:
         raise DomainError(f"psi_sieve needs x >= 1, got {x}")
     if not y >= 2.0:
         raise DomainError(f"psi_sieve needs y >= 2, got {y}")
-    if x > _SIEVE_MAX_X:
-        raise ResourceError(f"x = {short_int(x)} exceeds the sieve cap {_SIEVE_MAX_X}")
     if y >= x:
         return PsiResult(log_x=math.log(x), y=y, count=x, method="sieve")
+    if x > _SIEVE_MAX_X:
+        raise ResourceError(f"x = {short_int(x)} exceeds the sieve cap {_SIEVE_MAX_X}")
 
     seg = _SEGMENT
     fy = int(y)
@@ -321,7 +321,7 @@ def _bit_length(n: np.ndarray) -> np.ndarray:
     return e - (np.left_shift(1, e - 1) > n)
 
 
-_BUCHSTAB_MAX_X, _BUCHSTAB_MAX_Y = 10**12, 10**5  # the largest x and y psi_buchstab takes
+_BUCHSTAB_MAX_X, _BUCHSTAB_MAX_Y = 10**12, 10**5  # caps on x and on min(y, isqrt(x))
 
 
 def _psi_3(n: np.ndarray, w: np.ndarray) -> int:
@@ -344,8 +344,10 @@ def psi_buchstab(x, table: PrimeTable, y) -> PsiResult:
 
     Psi(n, p) = sum over e >= 0 of Psi(n // p^e, p-), where p- is the prime
     below p (Buchstab 1949; de Bruijn 1951). Let P be the primes up to y,
-    P[0] = 2, and b the first index with P[b]^3 > x. Three identities count
-    most terms where they arise, so only the rest are sorted:
+    P[0] = 2, and b the first index with P[b]^3 > x: pi(min(r, y)) for the
+    exact integer cube root r of x, as int64 cubes of the primes wrap from
+    p = 2,097,169 on. Three identities count most terms where they arise,
+    so only the rest are sorted:
 
     1. Each prime P[i] with i >= top = max(b, 1). Put m = x // P[i]. As
        P[i]^3 > x, x // P[i]^e = 0 for e >= 3, and x // P[i]^2 = m // P[i]
@@ -365,8 +367,10 @@ def psi_buchstab(x, table: PrimeTable, y) -> PsiResult:
        are 3^j 2^e. The terms left at level 1 (the prime 3) close so, or
        at level 0 (top = 1) as w * bit_length(n).
 
-    An x above _BUCHSTAB_MAX_X = 1e12 or a y above _BUCHSTAB_MAX_Y = 1e5
-    raises ResourceError, and so does x >= 2^63 whatever the cap: quotients
+    An x above _BUCHSTAB_MAX_X = 1e12 raises ResourceError, and so does
+    min(y, isqrt(x)) above _BUCHSTAB_MAX_Y = 1e5: only the primes up to
+    sqrt(x) enter the Python loop of identity 1, and those above it cost one
+    vectorised line. x >= 2^63 raises it too, whatever the cap: quotients
     and partial sums (at most the count, so at most x) are int64. Each
     quotient is floor(x/m) for some m, as floor(floor(x/a)/b) = floor(x/(ab)),
     so a merged level holds at most 2 sqrt(x) of them: 2e6 at the cap.
@@ -382,11 +386,10 @@ def psi_buchstab(x, table: PrimeTable, y) -> PsiResult:
     if x >= 2**63:
         raise ResourceError(f"x = {short_int(x)} does not fit the int64 quotients (x < 2^63)")
     k = table.pi(y)  # before the y cap, so a y of nan or inf is a RangeError
-    if y > _BUCHSTAB_MAX_Y:
-        raise ResourceError(f"y = {y} exceeds the Buchstab cap {_BUCHSTAB_MAX_Y}")
+    if min(y, math.isqrt(x)) > _BUCHSTAB_MAX_Y:
+        raise ResourceError(f"y = {y} and isqrt(x) both exceed the Buchstab cap {_BUCHSTAB_MAX_Y}")
     P = table.primes[:k]
-    # exact: P <= 1e6 even with the y cap raised, so P^3 < 2^63
-    top = min(max(int(np.searchsorted(P * P * P, x, side="right")), 1), k)
+    top = max(table.pi(min(_iroot(x, 3), y)), 1)
     # identity 1 over the primes P[top:k]: e = 2, then e = 1 where m < p
     p = P[top:k]
     m = x // p

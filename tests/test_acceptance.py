@@ -19,7 +19,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from friabilis import psi_exact
 from friabilis.dickman import rho, rho_asymptotic, xi
 from friabilis.prime_tables import sieve_primes
 from friabilis.psi_exact import psi_buchstab, psi_enumerate, psi_sieve
@@ -47,8 +46,7 @@ def report(num: str, ok: bool, detail: str) -> str:
     return line
 
 
-def test_criterion_01_exact_count_cross_validation(table6, monkeypatch):
-    monkeypatch.setattr(psi_exact, "_BUCHSTAB_MAX_Y", 10**6)  # the cells run y up to x = 1e6
+def test_criterion_01_exact_count_cross_validation(table6):
     t0 = time.monotonic()
     spot = psi_enumerate(None, table6, 5.0, x_exact=100)
     assert spot.count == 34

@@ -62,8 +62,22 @@ def test_usage_errors_exit_2():
     assert b"--junk-flag" in proc.stderr  # offending token echoed
 
 
+@pytest.mark.parametrize("argv", [
+    ["psi", "--x", "abc", "--y", "5"],
+    ["psi", "--log-x", "abc", "--y", "5"],
+    ["rho", "--u", "abc"],
+])
+def test_not_a_number_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "not a number" in captured.err
+
+
 def test_range_error_exit_3():
-    assert run_proc(["rho", "--u", "200"]).returncode == 3
+    assert run_proc(["rho", "--u", "600"]).returncode == 3
 
 
 def test_resource_cap_exit_4():
@@ -516,6 +530,8 @@ def test_alpha_sums_the_residual_only_when_printed(fmt, sums, capsys, monkeypatc
     ("psi --x 1000 --y 1e6 --method all", "1000\n"),
     # y past the 1e8 table cap: only the clamp to y <= x + 1 keeps this off exit 4
     ("psi --log-x 5 --y 1e9", "148\n"),
+    # y >= x is counted before the sieve's x cap of 1e8 is checked
+    ("psi --x 1e9 --y 2e9 --method sieve", "1000000000\n"),
 ])
 def test_psi_y_above_x_is_clamped(argv, want, capsys):
     assert run_cli(argv.split(), capsys) == (0, want)

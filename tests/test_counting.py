@@ -331,6 +331,8 @@ def test_y_just_past_the_table():
 def test_sieve_caps_and_segments(table, monkeypatch):
     with pytest.raises(ResourceError):
         psi_sieve(2 * 10**8, 100.0)
+    # y >= x makes every n <= x friable, so no x cap applies
+    assert psi_sieve(10**9, 2e9).count == 10**9
     ref = psi_sieve(10**6, 100.0).count
     assert ref == 72271
     monkeypatch.setattr(psi_exact, "_SEGMENT", 1000)
@@ -408,12 +410,11 @@ def test_sieve_every_small_x(table):
             assert psi_sieve(x, y).count == brute(x, y, primes), (x, y)
 
 
-def test_buchstab_caps(table, monkeypatch):
+def test_buchstab_caps(table):
     with pytest.raises(ResourceError):
         psi_buchstab(2 * 10**12, table, 100.0)
     with pytest.raises(ResourceError):
-        psi_buchstab(10**6, table, 2e5)
-    monkeypatch.setattr(psi_exact, "_BUCHSTAB_MAX_Y", 1e6)
+        psi_buchstab(10**12, table, 2e5)
     assert psi_buchstab(10**6, table, 2e5).count == psi_sieve(10**6, 2e5).count
 
 
@@ -470,9 +471,8 @@ def test_buchstab_jumped_terms_at_the_bottom(table):
     assert {-1, 0, 1} <= levels
 
 
-def test_buchstab_above_sqrt_x(table, monkeypatch):
+def test_buchstab_above_sqrt_x(table):
     # y > sqrt(x): each prime above sqrt(x) is worth x // p alone
-    monkeypatch.setattr(psi_exact, "_BUCHSTAB_MAX_Y", 10**6)
     for x, y in ((10**6, 1001.0), (10**6, 5e5), (10**6, 1e6), (999_983, 1e6), (2 * 10**6, 1e6),
                  (10**7, 3163.0), (10**7, 1e6)):
         assert psi_buchstab(x, table, y).count == psi_sieve(x, y).count, (x, y)
@@ -492,6 +492,19 @@ def test_buchstab_sorts_only_what_it_cannot_close(table, monkeypatch):
     sizes.clear()
     assert psi_buchstab(10**10, table, 300.0).count == 69_217_415
     assert 0 < max(sizes) < 250_000
+
+
+def test_buchstab_cube_root_index_past_int64_cubes(monkeypatch):
+    # p^3 wraps int64 from p = 2,097,169 on, inside y = 5e6; an index read
+    # off such cubes starts the level loop at a wrong prime and sorts once
+    # per prime (270,709 sorts), where the exact cube root sorts at most
+    # once per prime up to cbrt(1e7), pi(215) = 47 of them
+    calls = []
+    real = psi_exact._sorted
+    monkeypatch.setattr(psi_exact, "_sorted", lambda n, w: calls.append(n.size) or real(n, w))
+    got = psi_buchstab(10**7, sieve_primes(5 * 10**6), 5e6).count
+    assert got == psi_sieve(10**7, 5e6).count == 9_683_934
+    assert 0 < len(calls) <= 47
 
 
 def _split(count, x, table, y):

@@ -192,7 +192,7 @@ def test_log_rho_array_shapes_and_errors():
         assert got.shape == u.shape
         assert got.ravel().tolist() == [rho(v) for v in u.ravel().tolist()]
     assert log_rho_array([1.0, 2.0, 3.0]).tolist() == [rho(1.0), rho(2.0), rho(3.0)]
-    # past rho's range of 128, up to the grid's 500
+    # at the end of rho's range, 500, scalar and grid agree
     assert log_rho_array(500.0) == build_rho_grid(500.0).log_rho[-1]
     # one bad entry refuses the whole call, with the typed error
     for bad in ([3.0, -0.1], [[2.5, math.nan]], -math.inf):

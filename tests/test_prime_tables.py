@@ -229,6 +229,28 @@ def test_iroot_exact():
             assert r**k <= n < (r + 1) ** k
 
 
+def _iroot_by_bisection(n, k):
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)  # hi**k > n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**k <= n else (lo, mid)
+    return lo
+
+
+def test_iroot_against_bisection():
+    rng = random.Random(7)
+    roots = [2, 3, 10, 1000, 2**21 - 1, 2**21, 2**26 + 1, 2**32 - 1, 2**32]
+    roots += [rng.randrange(2, 2**32) for _ in range(40)]
+    for k in range(2, 7):
+        for r in roots:
+            for n in (r**k - 1, r**k, r**k + 1):
+                assert _iroot(n, k) == _iroot_by_bisection(n, k), (n, k)
+    # the float guess 2^53 is one too low here, so the root is stepped up
+    n = (2**53 + 1) ** 2
+    assert int(round(n ** 0.5)) == 2**53
+    assert _iroot(n, 2) == _iroot_by_bisection(n, 2) == 2**53 + 1
+
+
 def test_big_pi_values(table_1e6):
     assert big_pi(3, table_1e6) == 2.0
     assert big_pi(4, table_1e6) == 2.5

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from friabilis import psi_exact
 from friabilis.errors import ResourceError
 from friabilis.prime_tables import sieve_primes
 from friabilis.psi_exact import psi_buchstab, psi_enumerate, psi_sieve
@@ -29,10 +28,7 @@ ys = log_uniform(2, 1e6)
 
 @pytest.fixture(scope="module")
 def table():
-    # y runs up to x = 1e6, past psi_buchstab's own y cap
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(psi_exact, "_BUCHSTAB_MAX_Y", 10**6)
-        yield sieve_primes(10**6)
+    return sieve_primes(10**6)
 
 
 @settings(max_examples=40, **_SETTINGS)

@@ -94,9 +94,9 @@ def test_log_x_rho_domain():
         th.log_x_rho(30.0, 1.2)
     with pytest.raises(DomainError):
         th.log_x_rho(30.0, 0.0)
-    # c=0.1 at x=1e30 pushes u past the default grid
+    # c=0.02 at x=1e30 pushes u (about 815) past rho's range
     with pytest.raises(RangeError):
-        th.log_x_rho(math.log(1e30), 0.1)
+        th.log_x_rho(math.log(1e30), 0.02)
 
 
 def test_regime_record_refuses_a_disagreeing_x_exact(table):
@@ -198,13 +198,13 @@ def test_feasible_limit_bound_by_the_table():
 
 
 def test_feasible_limit_bound_by_rho_range(table):
-    # at the default caps c = 0.33 stops where u = log x / log y reaches the
-    # end of rho's range, before the table or the count binds; a record a
-    # little past that log x has no rho to compare with
-    lx = th.largest_feasible_log_x(0.33, table)
+    # with a count cap of 1e12, c = 0.33 stops where u = log x / log y
+    # reaches the end of rho's range, before the table or the count binds;
+    # a record a little past that log x has no rho to compare with
+    lx = th.largest_feasible_log_x(0.33, table, max_count=1e12)
     assert lx / math.log(lx ** 0.33) == pytest.approx(RHO_U_MAX, rel=1e-12)
     with pytest.raises(RangeError, match="rho covers"):
-        th.regime_record(lx * (1.0 + 1e-9), 0.33, table)
+        th.regime_record(lx * (1.0 + 1e-9), 0.33, table, max_count=1e12)
 
 
 def test_eq6_lower_bound_shape(table):
